@@ -2,10 +2,11 @@
 
 The initial data fixes coefficients 0..n-1 of every variable.  Marching
 index k then determines the coefficients at index k+n for all variables
-at once: the right-hand side of each equation is expanded over series
-arithmetic truncated at order k, where every state reference reads only
-already-known coefficients (a reference with d primes at output order k
-reads input order at most k+n-1).
+at once from coefficient k of each right-hand side, where every state
+reference reads only already-known coefficients (a reference with d
+primes at output order k reads input order at most k+n-1).  The
+right-hand sides are lowered once into a tape that extends each
+subexpression's coefficients by one per round.
 
 Equations whose own top derivative appears under a proportional delay
 need one extra move: that occurrence references the unknown coefficient
@@ -20,11 +21,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import repeat
+from operator import add, mul
 
 from . import expr as ex
 from .problem import CauchyProblem, ProblemError, ProportionalDelay, ValidityInterval, check_h2
 from .reduce import ReducedSystem, substitute_history
-from .series import Series, SeriesError, monomial
+from .series import (
+    Series,
+    SeriesDomainError,
+    SeriesError,
+    cauchy_term,
+    elementary_term,
+    int_power_chain,
+    monomial,
+    nonzero_base_check,
+    pow_term,
+    reciprocal_term,
+    sincos_term,
+)
 
 PIVOT_TOLERANCE = 1e-12
 RESIDUAL_TOLERANCE = 1e-9
@@ -137,20 +153,6 @@ class TaylorSolution:
 
 # equation planning -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _NeutralTerm:
-    sign: float
-    coefficient: ex.Expr  # state-free factor product, Const(1) when bare
-    ratio: float
-    delay: str
-
-
-@dataclass(frozen=True)
-class _EquationPlan:
-    plain_terms: tuple[tuple[float, ex.Expr], ...]
-    neutral_terms: tuple[_NeutralTerm, ...]
-
-
 def _additive_terms(node: ex.Expr, sign: float = 1.0):
     if isinstance(node, ex.Add):
         yield from _additive_terms(node.left, sign)
@@ -196,9 +198,11 @@ def _contains_state(node: ex.Expr) -> bool:
     return any(True for _ in ex.iter_refs(node))
 
 
-def _plan_equation(reduced: ReducedSystem, var: int) -> _EquationPlan:
-    """Split one right-hand side into ordinary terms and linear
-    neutral-proportional terms, rejecting unsupported shapes."""
+def _plan_equation(reduced: ReducedSystem, var: int) -> tuple[list, list]:
+    """Split one right-hand side into ordinary terms (sign, term) and
+    linear neutral-proportional terms (sign, state-free coefficient,
+    ratio), rejecting unsupported shapes.  The coefficient is Const(1)
+    for a bare reference."""
     n = reduced.order
     ratios = {
         d.id: d.law.ratio
@@ -207,7 +211,7 @@ def _plan_equation(reduced: ReducedSystem, var: int) -> _EquationPlan:
     }
     equation = reduced.equations[var - 1]
     plain: list[tuple[float, ex.Expr]] = []
-    neutral: list[_NeutralTerm] = []
+    neutral: list[tuple[float, ex.Expr, float]] = []
     for sign, term in _additive_terms(equation):
         if not _contains_neutral(term, n, ratios):
             plain.append((sign, term))
@@ -248,15 +252,8 @@ def _plan_equation(reduced: ReducedSystem, var: int) -> _EquationPlan:
             coefficient = ex.Mul(coefficient, f)
         for den in denominators:
             coefficient = ex.Div(coefficient, den)
-        neutral.append(
-            _NeutralTerm(
-                sign=fsign,
-                coefficient=coefficient,
-                ratio=ratios[ref.delay],
-                delay=ref.delay,
-            )
-        )
-    return _EquationPlan(plain_terms=tuple(plain), neutral_terms=tuple(neutral))
+        neutral.append((fsign, coefficient, ratios[ref.delay]))
+    return plain, neutral
 
 
 # marching ------------------------------------------------------------------------
@@ -270,102 +267,295 @@ def transform_initial_conditions(problem: CauchyProblem | ReducedSystem) -> list
     ]
 
 
-def _marching_resolver(reduced: ReducedSystem, var: int, k: int, table):
-    """Resolve state references at working order k, reading only
-    coefficients of index at most k+n-1."""
-    n = reduced.order
-    specs = reduced.delay_map()
+def _non_finite(value: float, index: int) -> SeriesError:
+    return SeriesError(f"non-finite coefficient {value!r} at index {index}")
 
-    def resolve(ref: ex.StateRef) -> Series:
-        if ref.delay is not None and not specs[ref.delay].proportional:
+
+class _Segment:
+    """The lowered right-hand side of one equation: ``ops`` holds
+    (coefficients, step, wrapping expressions) per node in evaluation
+    order, ``plain`` (sign, coefficients) per ordinary term and
+    ``neutral`` (sign, coefficients, ratio, ratio powers) per neutral
+    term.  A plain class, since creating a dataclass costs import time in
+    every CLI run."""
+
+    __slots__ = ("var", "ops", "plain", "neutral")
+
+    def __init__(self, var: int, ops: list, plain: list, neutral: list):
+        self.var = var
+        self.ops = ops
+        self.plain = plain
+        self.neutral = neutral
+
+
+class _Tape:
+    """The right-hand sides of a reduced system, lowered once into a
+    straight-line program over per-node coefficient lists.
+
+    Every subexpression becomes a node whose list holds its Taylor
+    coefficients.  Round k appends coefficient k to every node, in the
+    order a recursive evaluation visits them, from the coefficients its
+    inputs already hold: a Cauchy product, a derivative shift with q**k
+    scaling, or one step of the recurrences in ``series``.  That is O(k)
+    work per node where expanding each right-hand side over series
+    truncated at order k costs O(k**2), and it performs the same float
+    operations in the same order, with the same checks and messages.
+    """
+
+    def __init__(self, reduced: ReducedSystem, table, plans: dict[int, tuple]):
+        self.reduced = reduced
+        self.table = table
+        self.specs = reduced.delay_map()
+        self.perms: list[int] = []  # perms[j] = (j+n)!/j!
+        self.segments = [self._segment(var, plan) for var, plan in plans.items()]
+
+    # lowering ------------------------------------------------------------------
+
+    def _segment(self, var: int, plan: tuple[list, list]) -> _Segment:
+        self._var = var
+        self._ops: list = []
+        # enclosing quotients, powers and functions: a domain error names
+        # each of them, innermost first
+        self._context: list[ex.Expr] = []
+        plain_terms, neutral_terms = plan
+        plain = [(sign, self._lower(term)) for sign, term in plain_terms]
+        neutral = [
+            (sign, self._lower(coefficient), ratio, [])
+            for sign, coefficient, ratio in neutral_terms
+        ]
+        return _Segment(var, self._ops, plain, neutral)
+
+    def _emit(self, step, out: list | None = None) -> list:
+        out = [] if out is None else out
+        self._ops.append((out, step, tuple(reversed(self._context))))
+        return out
+
+    def _constant(self, value: float) -> list:
+        return self._emit(lambda k: 0.0 if k else value)
+
+    def _product(self, a: list, b: list) -> list:
+        return self._emit(lambda k: cauchy_term(a, b, k))
+
+    def _recurrence(self, term, arg: list, *extra) -> list:
+        out: list[float] = []
+        return self._emit(lambda k: term(arg, out, k, *extra), out)
+
+    def _lower(self, node: ex.Expr) -> list:
+        if isinstance(node, ex.Const):
+            return self._constant(float(node.value))
+        if isinstance(node, ex.Time):
+            return self._emit(lambda k: 1.0 if k == 1 else 0.0)
+        if isinstance(node, ex.KnownSeries):
+            return self._leaf(node.series.coeffs)
+        if isinstance(node, ex.StateRef):
+            return self._state(node)
+        if isinstance(node, ex.Add):
+            a, b = self._lower(node.left), self._lower(node.right)
+            return self._emit(lambda k: a[k] + b[k])
+        if isinstance(node, ex.Sub):
+            a, b = self._lower(node.left), self._lower(node.right)
+            return self._emit(lambda k: a[k] - b[k])
+        if isinstance(node, ex.Neg):
+            a = self._lower(node.operand)
+            return self._emit(lambda k: -a[k])
+        if isinstance(node, ex.Mul):
+            return self._product(self._lower(node.left), self._lower(node.right))
+        self._context.append(node)
+        if isinstance(node, ex.Div):
+            numerator = self._lower(node.left)
+            reciprocal = self._recurrence(reciprocal_term, self._lower(node.right))
+            out = self._product(numerator, reciprocal)
+        elif isinstance(node, ex.Pow):
+            out = self._power(node.base, float(node.exponent))
+        elif isinstance(node, ex.Func):
+            arg = self._lower(node.arg)
+            if node.fn in ("sin", "cos"):
+                out = self._sincos(arg, node.fn)
+            else:
+                out = self._recurrence(elementary_term(node.fn), arg)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        self._context.pop()
+        return out
+
+    def _leaf(self, coeffs: tuple[float, ...]) -> list:
+        def leaf(k):
+            try:
+                return coeffs[k]
+            except IndexError:
+                raise SeriesError(
+                    f"cannot truncate order-{len(coeffs) - 1} series to order {k}"
+                ) from None
+
+        return self._emit(leaf)
+
+    def _state(self, ref: ex.StateRef) -> list:
+        """Coefficient k of u^(d)(q t): q**k * (k+d)!/k! * table[k+d], where
+        q**k is a running product.  Table entries are checked as they come
+        into use."""
+        reduced = self.reduced
+        if ref.delay is not None and not self.specs[ref.delay].proportional:
             raise EngineError(
                 f"unreduced delayed reference {ex.pretty(ref, reduced.var_names)}"
             )
-        if ref.deriv >= n:
+        if ref.deriv >= reduced.order:
             raise NonlinearNeutral(
-                var,
+                self._var,
                 "top-order delayed reference in a nonlinear position: "
                 f"{ex.pretty(ref, reduced.var_names)}",
             )
-        prefix = Series(tuple(table[ref.var - 1][: k + ref.deriv + 1]))
-        out = prefix.differentiate(ref.deriv)
-        if ref.delay is not None:
-            out = out.scale_arg(specs[ref.delay].law.ratio)
-        return out
+        row = self.table[ref.var - 1]
+        d = ref.deriv
 
-    return resolve
+        def shifted(k):
+            # round 0 reads the whole prefix, later rounds one new entry
+            for i in range(k + d if k else 0, k + d + 1):
+                if not math.isfinite(row[i]):
+                    raise _non_finite(row[i], i)
+            return math.perm(k + d, d) * row[k + d] if d else row[k]
 
+        if ref.delay is None:
+            return self._emit(shifted)
+        q = self.specs[ref.delay].law.ratio
+        q_powers = [1.0]
 
-def _rhs_from_plan(
-    reduced: ReducedSystem,
-    plan: _EquationPlan,
-    var: int,
-    k: int,
-    table,
-) -> tuple[float, float | None]:
-    """Coefficient of t**k of the right-hand side of one equation; for
-    neutral equations also the pivot multiplying the unknown coefficient.
-    Contributions of neutral terms that reference known coefficients are
-    folded into the returned value."""
-    n = reduced.order
-    t_k = monomial(1, k)
-    resolve = _marching_resolver(reduced, var, k, table)
-    value = 0.0
-    try:
-        for sign, term in plan.plain_terms:
-            value += sign * ex.eval_series(term, t_k, resolve).coeffs[k]
-    except SeriesError as exc:
-        raise EvalFailure(var, k, str(exc)) from None
-    if not plan.neutral_terms:
-        return value, None
-    pivot = 1.0
-    for term in plan.neutral_terms:
+        def scaled(k):
+            if len(q_powers) <= k:
+                q_powers.append(q_powers[-1] * q)
+            return q_powers[k] * shifted(k)
+
+        return self._emit(scaled)
+
+    def _power(self, base_node: ex.Expr, rho: float):
+        if not rho.is_integer():
+            return self._recurrence(pow_term, self._lower(base_node), rho)
+        m = int(rho)
+        base = self._lower(base_node)
+        if m >= 0:
+            return int_power_chain(m, self._product, self._constant(1.0), base)
+
+        def check(k):
+            if not k:
+                nonzero_base_check(base[0], rho)
+            return 0.0
+
+        self._emit(check)
+        power = int_power_chain(-m, self._product, self._constant(1.0), base)
+        return self._recurrence(reciprocal_term, power)
+
+    def _sincos(self, arg: list, fn: str) -> list:
+        s: list[float] = []
+        co: list[float] = []
+        out, companion, pick = (s, co, 0) if fn == "sin" else (co, s, 1)
+
+        def step(k):
+            pair = sincos_term(arg, s, co, k)
+            companion.append(pair[1 - pick])
+            return pair[pick]
+
+        return self._emit(step, out)
+
+    # marching ------------------------------------------------------------------
+
+    def fill(self, segment: _Segment, k: int) -> None:
+        """Append coefficient k to every node of one equation."""
+        isfinite = math.isfinite
         try:
-            coeff = ex.eval_series(term.coefficient, t_k, resolve)
+            for out, step, where in segment.ops:
+                try:
+                    value = step(k)
+                except SeriesDomainError as exc:
+                    raise SeriesDomainError(
+                        str(exc) + "".join(f" in {ex.pretty(e)}" for e in where)
+                    ) from None
+                if not isfinite(value):
+                    raise _non_finite(value, k)
+                out.append(value)
         except SeriesError as exc:
-            raise EvalFailure(var, k, str(exc)) from None
-        q_power = term.ratio**k
-        pivot -= term.sign * coeff.coeffs[0] * q_power
-        # contributions of already-known coefficients of the same variable
-        for l in range(1, k + 1):
-            value += (
-                term.sign
-                * coeff.coeffs[l]
-                * term.ratio ** (k - l)
-                * math.perm(k - l + n, n)
-                * table[var - 1][k - l + n]
-            )
-    return value, pivot
+            raise EvalFailure(segment.var, k, str(exc)) from None
+
+    def rhs(self, segment: _Segment, k: int) -> tuple[float, float | None]:
+        """Coefficient of t**k of the right-hand side of one equation; for
+        neutral equations also the pivot multiplying the unknown
+        coefficient.  Contributions of neutral terms that reference known
+        coefficients are folded into the returned value."""
+        self.fill(segment, k)
+        value = 0.0
+        for sign, out in segment.plain:
+            value += sign * out[k]
+        if not segment.neutral:
+            return value, None
+        n = self.reduced.order
+        perms = self._perms_through(k)
+        row = self.table[segment.var - 1]
+        pivot = 1.0
+        for sign, coeff, ratio, powers in segment.neutral:
+            while len(powers) <= k:
+                powers.append(ratio ** len(powers))
+            pivot -= sign * coeff[0] * powers[k]
+            if k:
+                # sum over l = 1..k of sign * coeff[l] * ratio**(k-l)
+                # * (k-l+n)!/(k-l)! * table[k-l+n], in increasing l
+                terms = map(mul, repeat(sign, k), coeff[1 : k + 1])
+                terms = map(mul, terms, powers[k - 1 :: -1])
+                terms = map(mul, terms, perms[k - 1 :: -1])
+                terms = map(mul, terms, row[k + n - 1 : n - 1 : -1])
+                value = reduce(add, terms, value)
+        return value, pivot
+
+    def _perms_through(self, k: int) -> list[int]:
+        perms = self.perms
+        while len(perms) <= k:
+            perms.append(math.perm(len(perms) + self.reduced.order, self.reduced.order))
+        return perms
+
+    def round(self, k: int, pivot_log=None) -> list[float]:
+        """The coefficients at index k+n of all variables; rounds 0..k-1
+        must have run."""
+        scale = self._perms_through(k)[k]
+        new = []
+        for segment in self.segments:
+            value, pivot = self.rhs(segment, k)
+            if pivot is None:
+                new.append(value / scale)
+                continue
+            var = segment.var
+            if pivot_log is not None:
+                pivot_log.append(PivotEntry(var=var, k=k, pivot=pivot))
+            if abs(pivot) < PIVOT_TOLERANCE:
+                label = self.reduced.var_names[var - 1]
+                if abs(value) > RESIDUAL_TOLERANCE:
+                    raise ZeroPivotInconsistent(var, k, pivot, value, label)
+                raise ZeroPivotUnderdetermined(var, k, pivot, value, label)
+            new.append(value / (scale * pivot))
+        return new
+
+
+def _replayed(reduced: ReducedSystem, table, plans: dict[int, tuple], k: int) -> _Tape:
+    """A tape whose nodes hold coefficients 0..k-1, recomputed from the table."""
+    tape = _Tape(reduced, table, plans)
+    for j in range(k):
+        for segment in tape.segments:
+            tape.fill(segment, j)
+    return tape
 
 
 def rhs_coefficient(
     reduced: ReducedSystem, var: int, k: int, table
 ) -> tuple[float, float | None]:
-    """Public entry point: plan the equation and return (value, pivot)."""
-    return _rhs_from_plan(reduced, _plan_equation(reduced, var), var, k, table)
+    """(value, pivot) of one equation at marching index k; see _Tape.rhs.
+    Lowers the equation and replays rounds 0..k-1 from the table."""
+    tape = _replayed(reduced, table, {var: _plan_equation(reduced, var)}, k)
+    return tape.rhs(tape.segments[0], k)
 
 
 def step(reduced: ReducedSystem, k: int, table, plans=None, pivot_log=None) -> list[float]:
-    """Compute the coefficients at index k+n for all variables."""
-    n = reduced.order
+    """Compute the coefficients at index k+n for all variables.  Lowers
+    the equations and replays rounds 0..k-1 from the table; marching a
+    whole system is ``solve_reduced``'s job, which keeps one tape."""
     if plans is None:
         plans = [_plan_equation(reduced, var) for var in range(1, reduced.num_vars + 1)]
-    scale = math.perm(k + n, n)
-    new = []
-    for var in range(1, reduced.num_vars + 1):
-        value, pivot = _rhs_from_plan(reduced, plans[var - 1], var, k, table)
-        if pivot is None:
-            new.append(value / scale)
-            continue
-        if pivot_log is not None:
-            pivot_log.append(PivotEntry(var=var, k=k, pivot=pivot))
-        if abs(pivot) < PIVOT_TOLERANCE:
-            label = reduced.var_names[var - 1]
-            if abs(value) > RESIDUAL_TOLERANCE:
-                raise ZeroPivotInconsistent(var, k, pivot, value, label)
-            raise ZeroPivotUnderdetermined(var, k, pivot, value, label)
-        new.append(value / (scale * pivot))
-    return new
+    return _replayed(reduced, table, dict(enumerate(plans, start=1)), k).round(k, pivot_log)
 
 
 def solve(problem: CauchyProblem, *, trunc_order: int | None = None) -> TaylorSolution:
@@ -394,16 +584,17 @@ def solve_reduced(reduced: ReducedSystem) -> TaylorSolution:
     """March an already-reduced system."""
     n = reduced.order
     target = reduced.trunc_order
-    internal = target + 1
     table = transform_initial_conditions(reduced)
-    plans = [
-        _plan_equation(reduced, var) for var in range(1, reduced.num_vars + 1)
-    ]
+    plans = {
+        var: _plan_equation(reduced, var) for var in range(1, reduced.num_vars + 1)
+    }
+    tape = _Tape(reduced, table, plans)
     pivot_log: list[PivotEntry] = []
     try:
-        for k in range(internal - n + 1):
-            for var0, value in enumerate(step(reduced, k, table, plans, pivot_log)):
-                table[var0].append(value)
+        # one extra coefficient beyond the target, for the error estimate
+        for k in range(target + 2 - n):
+            for row, value in zip(table, tape.round(k, pivot_log)):
+                row.append(value)
     except ZeroPivot as exc:
         exc.partial_coeffs = tuple(tuple(row) for row in table)
         exc.var_names = reduced.var_names

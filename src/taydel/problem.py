@@ -106,6 +106,13 @@ class CauchyProblem:
                 f"initial data must provide {n} derivative values for each of "
                 f"the {p} variables"
             )
+        for name, row in zip(self.var_names, self.init):
+            for k, value in enumerate(row):
+                if not math.isfinite(value):
+                    raise ProblemError(
+                        f"initial data must be finite, got {value!r} for "
+                        f"derivative {k} of {name!r}"
+                    )
         if not self.horizon > 0:
             raise ProblemError(f"horizon must be positive, got {self.horizon!r}")
         if self.trunc_order < 1:

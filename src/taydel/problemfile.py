@@ -19,6 +19,7 @@ when a constant or time-dependent delay is declared.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -54,6 +55,13 @@ def _parse_number(text: str, line_no: int) -> float:
         raise _fail(f"bad number {text!r}", line_no) from None
 
 
+def _parse_int(text: str, line_no: int) -> int:
+    value = _parse_number(text, line_no)
+    if not (math.isfinite(value) and value.is_integer()):
+        raise _fail(f"expected an integer, got {text.strip()!r}", line_no)
+    return int(value)
+
+
 def parse_problem(text: str, *, name: str = "<string>") -> CauchyProblem:
     """Parse a problem file's contents into a validated problem."""
     order = None
@@ -75,14 +83,16 @@ def parse_problem(text: str, *, name: str = "<string>") -> CauchyProblem:
         key = key.strip()
         value = value.strip()
         parts = key.split()
+        if not parts:
+            raise _fail(f"missing key before '=' in {line!r}", line_no)
         if parts[0] == "order" and len(parts) == 1:
-            order = int(_parse_number(value, line_no))
+            order = _parse_int(value, line_no)
         elif parts[0] == "vars" and len(parts) == 1:
             var_names = [v.strip() for v in value.split(",") if v.strip()]
         elif parts[0] == "horizon" and len(parts) == 1:
             horizon = _parse_number(value, line_no)
         elif parts[0] == "taylor_order" and len(parts) == 1:
-            taylor_order = int(_parse_number(value, line_no))
+            taylor_order = _parse_int(value, line_no)
         elif parts[0] == "delay" and len(parts) == 2:
             delay_lines.append((line_no, parts[1], value))
         elif parts[0] == "eq" and len(parts) == 2:

@@ -75,6 +75,11 @@ def history_leaf(phi: ex.Expr, deriv: int, argument: Series, order: int) -> Seri
     argument series minus ``a0``, whose zero constant term makes the
     polynomial composition exact through the truncation order.  This
     avoids differentiating user expressions symbolically.
+
+    When the inner series is exactly ``t``, as for every constant lag, the
+    composition reduces to ``0.0 + c`` per coefficient: every other term it
+    adds is a signed zero, and the leading ``0.0 +`` turns ``-0.0`` into
+    ``0.0`` as its accumulation does.
     """
     a0 = argument.coeffs[0]
     stage_order = order + deriv
@@ -82,6 +87,8 @@ def history_leaf(phi: ex.Expr, deriv: int, argument: Series, order: int) -> Seri
     expanded = ex.eval_series(phi, about)
     shifted = expanded.differentiate(deriv)
     inner = argument.truncated(order) - Series.constant(a0, order)
+    if inner.coeffs[1:] == (1.0,) + (0.0,) * (order - 1):
+        return Series(tuple(0.0 + c for c in shifted.coeffs))
     return compose_polynomial(shifted.coeffs, inner)
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from typing import Iterable
 
 
@@ -23,7 +25,8 @@ class SeriesError(ValueError):
 
 
 class SeriesDomainError(SeriesError):
-    """An elementary function was applied outside its domain."""
+    """An elementary function was applied outside its domain, or its value
+    at the constant term overflows a double."""
 
 
 @dataclass(frozen=True)
@@ -86,12 +89,7 @@ class Series:
         if isinstance(other, Series):
             self._matched(other, "mul")
             a, b = self.coeffs, other.coeffs
-            return Series(
-                tuple(
-                    sum(a[l] * b[k - l] for l in range(k + 1))
-                    for k in range(len(a))
-                )
-            )
+            return Series(tuple(cauchy_term(a, b, k) for k in range(len(a))))
         if isinstance(other, (int, float)):
             return Series(tuple(float(other) * c for c in self.coeffs))
         return NotImplemented
@@ -175,17 +173,118 @@ def exp_linear(rate: float, order: int) -> Series:
     return Series(tuple(rate**k / math.factorial(k) for k in range(order + 1)))
 
 
-def _int_power(u: Series, m: int) -> Series:
-    """u**m for integer m >= 0 by binary exponentiation (no domain limits)."""
-    result = Series.constant(1.0, u.trunc_order)
-    base = u
+def cauchy_term(a, b, k: int) -> float:
+    """Coefficient k of the product of two series given by their
+    coefficient sequences, each known through index k at least."""
+    return sum(map(mul, a[: k + 1], b[k::-1]))
+
+
+def int_power_chain(m: int, multiply, one, base):
+    """base**m for integer m >= 0 by binary exponentiation, as the sequence
+    of ``multiply`` calls that both series and the marching tape perform."""
+    result = one
     while m > 0:
         if m & 1:
-            result = result * base
+            result = multiply(result, base)
         m >>= 1
         if m:
-            base = base * base
+            base = multiply(base, base)
     return result
+
+
+def _int_power(u: Series, m: int) -> Series:
+    """u**m for integer m >= 0 (no domain limits)."""
+    return int_power_chain(m, Series.__mul__, Series.constant(1.0, u.trunc_order), u)
+
+
+# Per-index recurrences.  Each returns coefficient k of f(u) from the
+# coefficients c[0..k] of u and the result's known coefficients w[0..k-1];
+# index 0 applies f itself and checks its domain.  Sums add their terms in
+# increasing j with plain float additions, so a coefficient does not
+# depend on how many more are computed.
+
+def _weighted_sum(weights, a, b, k: int) -> float:
+    """sum over j = 1..k of weights[j-1] * a[j] * b[k-j]."""
+    return reduce(add, map(mul, map(mul, weights, a[1 : k + 1]), b[k - 1 :: -1]), 0.0)
+
+
+def _overflow_guard(fn, value: float, label: str) -> float:
+    try:
+        return fn(value)
+    except OverflowError:
+        raise SeriesDomainError(
+            f"{label} overflows at constant term {value!r}"
+        ) from None
+
+
+def exp_term(c, w, k: int) -> float:
+    """w' = u' w:  k w[k] = sum_{j=1..k} j c[j] w[k-j]."""
+    if k == 0:
+        return _overflow_guard(math.exp, c[0], "exp")
+    return _weighted_sum(range(1, k + 1), c, w, k) / k
+
+
+def ln_term(c, w, k: int) -> float:
+    """u w' = u':  w[k] = (c[k] - sum_{j=1..k-1} j w[j] c[k-j] / k) / c[0]."""
+    if k == 0:
+        if c[0] <= 0.0:
+            raise SeriesDomainError(
+                f"ln requires a positive constant term, got {c[0]!r}"
+            )
+        return math.log(c[0])
+    return (c[k] - _weighted_sum(range(1, k), w, c, k) / k) / c[0]
+
+
+def reciprocal_term(c, w, k: int) -> float:
+    """u w = 1:  w[k] = -sum_{j=1..k} c[j] w[k-j] / c[0]."""
+    if k == 0:
+        if c[0] == 0.0:
+            raise SeriesDomainError(
+                "reciprocal requires a nonzero constant term, got 0"
+            )
+        return 1.0 / c[0]
+    return -reduce(add, map(mul, c[1 : k + 1], w[k - 1 :: -1]), 0.0) / c[0]
+
+
+def pow_term(c, w, k: int, rho: float) -> float:
+    """u w' = rho u' w for a fractional exponent rho:
+    k c[0] w[k] = sum_{j=1..k} ((rho+1) j - k) c[j] w[k-j]."""
+    if k == 0:
+        if c[0] <= 0.0:
+            raise SeriesDomainError(
+                f"pow({rho:g}) requires a positive constant term, got {c[0]!r}"
+            )
+        return _overflow_guard(lambda base: base**rho, c[0], f"pow({rho:g})")
+    weights = [(rho + 1.0) * j - k for j in range(1, k + 1)]
+    return _weighted_sum(weights, c, w, k) / (k * c[0])
+
+
+def sincos_term(c, s, co, k: int) -> tuple[float, float]:
+    """The coupled pair s' = u' co, co' = -u' s: coefficient k of sin(u)
+    and of cos(u) from s[0..k-1] and co[0..k-1]."""
+    if k == 0:
+        return math.sin(c[0]), math.cos(c[0])
+    j = range(1, k + 1)
+    return _weighted_sum(j, c, co, k) / k, -_weighted_sum(j, c, s, k) / k
+
+
+_ELEMENTARY_TERMS = {"exp": exp_term, "ln": ln_term, "reciprocal": reciprocal_term}
+
+
+def elementary_term(tag: str):
+    """The recurrence of ``exp``, ``ln`` or ``reciprocal``."""
+    try:
+        return _ELEMENTARY_TERMS[tag]
+    except KeyError:
+        raise SeriesError(f"unknown elementary function tag {tag!r}") from None
+
+
+def nonzero_base_check(c0: float, rho: float) -> None:
+    """Negative integer powers divide by the base's constant term."""
+    if c0 == 0.0:
+        raise SeriesDomainError(
+            f"pow({rho:g}) requires a nonzero constant term, got 0"
+        )
 
 
 def compose_elementary(tag: str, u: Series, exponent: float | None = None) -> Series:
@@ -198,7 +297,8 @@ def compose_elementary(tag: str, u: Series, exponent: float | None = None) -> Se
 
     Integer exponents are expanded by repeated multiplication and place no
     restriction on the constant term; fractional exponents and ``ln``
-    require u[0] > 0, ``reciprocal`` requires u[0] != 0.
+    require u[0] > 0, ``reciprocal`` requires u[0] != 0.  An exp or power
+    whose constant term overflows a double is a domain error too.
     """
     c = u.coeffs
     n = u.trunc_order
@@ -210,81 +310,30 @@ def compose_elementary(tag: str, u: Series, exponent: float | None = None) -> Se
             m = int(rho)
             if m >= 0:
                 return _int_power(u, m)
-            if c[0] == 0.0:
-                raise SeriesDomainError(
-                    f"pow({rho:g}) requires a nonzero constant term, got 0"
-                )
+            nonzero_base_check(c[0], rho)
             return compose_elementary("reciprocal", _int_power(u, -m))
-        if c[0] <= 0.0:
-            raise SeriesDomainError(
-                f"pow({rho:g}) requires a positive constant term, got {c[0]!r}"
-            )
-        w = [0.0] * (n + 1)
-        w[0] = c[0] ** rho
-        for k in range(1, n + 1):
-            acc = 0.0
-            for j in range(1, k + 1):
-                acc += ((rho + 1.0) * j - k) * c[j] * w[k - j]
-            w[k] = acc / (k * c[0])
+        w: list[float] = []
+        for k in range(n + 1):
+            w.append(pow_term(c, w, k, rho))
         return Series(tuple(w))
 
     if exponent is not None:
         raise SeriesError(f"{tag} takes no exponent")
 
-    if tag == "exp":
-        w = [0.0] * (n + 1)
-        w[0] = math.exp(c[0])
-        for k in range(1, n + 1):
-            acc = 0.0
-            for j in range(1, k + 1):
-                acc += j * c[j] * w[k - j]
-            w[k] = acc / k
-        return Series(tuple(w))
-
-    if tag == "ln":
-        if c[0] <= 0.0:
-            raise SeriesDomainError(
-                f"ln requires a positive constant term, got {c[0]!r}"
-            )
-        w = [0.0] * (n + 1)
-        w[0] = math.log(c[0])
-        for k in range(1, n + 1):
-            acc = 0.0
-            for j in range(1, k):
-                acc += j * w[j] * c[k - j]
-            w[k] = (c[k] - acc / k) / c[0]
-        return Series(tuple(w))
-
     if tag in ("sin", "cos"):
-        s = [0.0] * (n + 1)
-        co = [0.0] * (n + 1)
-        s[0] = math.sin(c[0])
-        co[0] = math.cos(c[0])
-        for k in range(1, n + 1):
-            acc_s = 0.0
-            acc_c = 0.0
-            for j in range(1, k + 1):
-                acc_s += j * c[j] * co[k - j]
-                acc_c += j * c[j] * s[k - j]
-            s[k] = acc_s / k
-            co[k] = -acc_c / k
+        s: list[float] = []
+        co: list[float] = []
+        for k in range(n + 1):
+            s_k, co_k = sincos_term(c, s, co, k)
+            s.append(s_k)
+            co.append(co_k)
         return Series(tuple(s if tag == "sin" else co))
 
-    if tag == "reciprocal":
-        if c[0] == 0.0:
-            raise SeriesDomainError(
-                "reciprocal requires a nonzero constant term, got 0"
-            )
-        w = [0.0] * (n + 1)
-        w[0] = 1.0 / c[0]
-        for k in range(1, n + 1):
-            acc = 0.0
-            for j in range(1, k + 1):
-                acc += c[j] * w[k - j]
-            w[k] = -acc / c[0]
-        return Series(tuple(w))
-
-    raise SeriesError(f"unknown elementary function tag {tag!r}")
+    term = elementary_term(tag)
+    w = []
+    for k in range(n + 1):
+        w.append(term(c, w, k))
+    return Series(tuple(w))
 
 
 def compose_polynomial(outer: Iterable[float], inner: Series) -> Series:

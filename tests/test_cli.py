@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +235,63 @@ class TestExitContract:
         code, _, err = run("info", "no-such-file.fde")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "old, new, expected",
+        [
+            pytest.param("horizon = 1", "horizon = 1\n= 3", 1, id="missing_key"),
+            pytest.param("order = 1", "order = 1.5", 1, id="fractional_order"),
+            pytest.param("order = 1", "order = inf", 1, id="infinite_order"),
+            pytest.param("taylor_order = 10", "taylor_order = 1.5", 1, id="fractional_taylor"),
+            pytest.param("taylor_order = 10", "taylor_order = inf", 1, id="infinite_taylor"),
+            pytest.param("init u = [1]", "init u = [inf]", 2, id="infinite_init"),
+        ],
+    )
+    def test_malformed_file_gets_its_exit_code_and_one_line(
+        self, run, tmp_path, old, new, expected
+    ):
+        path = tmp_path / "bad.fde"
+        path.write_text(SCALAR.replace(old, new, 1))
+        code, out, err = run("solve", str(path), "--json")
+        assert (code, out) == (expected, "")
+        assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+    def test_overflowing_constant_term_is_a_marching_error(self, run, tmp_path):
+        path = tmp_path / "overflow.fde"
+        path.write_text(SCALAR.replace("u@half - u", "exp(u@half)").replace("[1]", "[1000]"))
+        code, out, err = run("solve", str(path))
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: equation 1, marching index 0: exp overflows at constant "
+            "term 1000.0 in exp(u1@half)\n"
+        )
+
+    @pytest.mark.parametrize("module", ["taydel", "taydel.cli"])
+    def test_module_entry_points_run_the_cli(self, fixtures_dir, module):
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        argv = ["solve", fixture(fixtures_dir, "example2.fde"), "--csv"]
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("var,k0,k1,")
+        assert subprocess.run(
+            [sys.executable, "-m", module], capture_output=True, env=env, timeout=60
+        ).returncode == 2  # argparse: a subcommand is required
+
+
+SCALAR = """\
+order = 1
+vars = u
+delay half = proportional(1/2)
+eq u' = u@half - u
+init u = [1]
+horizon = 1
+taylor_order = 10
+"""
