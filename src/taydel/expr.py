@@ -601,67 +601,97 @@ def time_series(order: int) -> Series:
     return monomial(1, order)
 
 
+def compile_numeric(
+    node: Expr,
+    leaf: Callable[[StateRef], Callable[[float, object], float]] | None = None,
+) -> Callable[[float, object], float]:
+    """Lower the tree once into nested closures ``f(t, env) -> float``.
+    ``leaf`` gives the closure of each state reference, which receives
+    ``env`` untouched; without it, evaluating a reference is an error."""
+    if isinstance(node, Const):
+        value = node.value
+        return lambda t, env: value
+    if isinstance(node, Time):
+        return lambda t, env: t
+    if isinstance(node, KnownSeries):
+        evaluate = node.series.evaluate
+        return lambda t, env: evaluate(t)
+    if isinstance(node, StateRef):
+        if leaf is not None:
+            return leaf(node)
+
+        def refused(t, env):
+            raise EvaluationError(
+                f"state reference {pretty(node)} not allowed in this context"
+            )
+        return refused
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        left = compile_numeric(node.left, leaf)
+        right = compile_numeric(node.right, leaf)
+        if isinstance(node, Add):
+            return lambda t, env: left(t, env) + right(t, env)
+        if isinstance(node, Sub):
+            return lambda t, env: left(t, env) - right(t, env)
+        if isinstance(node, Mul):
+            return lambda t, env: left(t, env) * right(t, env)
+
+        def divide(t, env):
+            denom = right(t, env)
+            if denom == 0.0:
+                raise EvaluationError(f"division by zero in {pretty(node)} at t={t:g}")
+            return left(t, env) / denom
+        return divide
+    if isinstance(node, Neg):
+        operand = compile_numeric(node.operand, leaf)
+        return lambda t, env: -operand(t, env)
+    if isinstance(node, Pow):
+        base, exponent = compile_numeric(node.base, leaf), node.exponent
+
+        def power(t, env):
+            x = base(t, env)
+            try:
+                value = x**exponent
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise EvaluationError(f"{exc} in {pretty(node)} at t={t:g}") from None
+            if isinstance(value, complex):
+                raise EvaluationError(
+                    f"fractional power of negative base in {pretty(node)} at t={t:g}"
+                )
+            return value
+        return power
+    if isinstance(node, Func):
+        arg = compile_numeric(node.arg, leaf)
+        if node.fn == "exp":
+            def exp(t, env):
+                x = arg(t, env)
+                try:
+                    return math.exp(x)
+                except OverflowError:
+                    raise EvaluationError(
+                        f"exp overflows at argument {x:g} in {pretty(node)} at t={t:g}"
+                    ) from None
+            return exp
+        if node.fn == "ln":
+            def ln(t, env):
+                x = arg(t, env)
+                if x <= 0.0:
+                    raise EvaluationError(
+                        f"ln of nonpositive value {x:g} in {pretty(node)} at t={t:g}"
+                    )
+                return math.log(x)
+            return ln
+        if node.fn in ("sin", "cos"):
+            fn = getattr(math, node.fn)
+            return lambda t, env: fn(arg(t, env))
+        raise EvaluationError(f"unknown function {node.fn!r}")
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 def eval_numeric(
     node: Expr,
     t: float,
     resolve: Callable[[StateRef], float] | None = None,
 ) -> float:
     """Evaluate the tree at a single time value."""
-
-    def ev(n: Expr) -> float:
-        if isinstance(n, Const):
-            return n.value
-        if isinstance(n, Time):
-            return t
-        if isinstance(n, KnownSeries):
-            return n.series.evaluate(t)
-        if isinstance(n, StateRef):
-            if resolve is None:
-                raise EvaluationError(
-                    f"state reference {pretty(n)} not allowed in this context"
-                )
-            return resolve(n)
-        if isinstance(n, Add):
-            return ev(n.left) + ev(n.right)
-        if isinstance(n, Sub):
-            return ev(n.left) - ev(n.right)
-        if isinstance(n, Mul):
-            return ev(n.left) * ev(n.right)
-        if isinstance(n, Div):
-            denom = ev(n.right)
-            if denom == 0.0:
-                raise EvaluationError(f"division by zero in {pretty(n)} at t={t:g}")
-            return ev(n.left) / denom
-        if isinstance(n, Neg):
-            return -ev(n.operand)
-        if isinstance(n, Pow):
-            base = ev(n.base)
-            try:
-                value = base**n.exponent
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise EvaluationError(
-                    f"{exc} in {pretty(n)} at t={t:g}"
-                ) from None
-            if isinstance(value, complex):
-                raise EvaluationError(
-                    f"fractional power of negative base in {pretty(n)} at t={t:g}"
-                )
-            return value
-        if isinstance(n, Func):
-            arg = ev(n.arg)
-            if n.fn == "exp":
-                return math.exp(arg)
-            if n.fn == "ln":
-                if arg <= 0.0:
-                    raise EvaluationError(
-                        f"ln of nonpositive value {arg:g} in {pretty(n)} at t={t:g}"
-                    )
-                return math.log(arg)
-            if n.fn == "sin":
-                return math.sin(arg)
-            if n.fn == "cos":
-                return math.cos(arg)
-            raise EvaluationError(f"unknown function {n.fn!r}")
-        raise TypeError(f"not an expression node: {n!r}")
-
-    return ev(node)
+    leaf = None if resolve is None else (lambda ref: lambda t, env: resolve(ref))
+    return compile_numeric(node, leaf)(t, None)

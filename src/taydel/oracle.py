@@ -122,14 +122,13 @@ def integrate_reference(
     # (t0, h, y0, d0, y1, d1) or None
     inflight: list[tuple] = [None]
 
-    def lookup(var: int, deriv: int, s: float, stage_limit: float):
+    def lookup(component: int, s: float, stage_limit: float):
         nonlocal extrapolations
         if s > stage_limit + 1e-9 * max(1.0, stage_limit):
             raise OracleError(
                 f"lookup at t = {s:g} is ahead of the computed history "
                 f"(front {stage_limit:g})"
             )
-        component = (var - 1) * n + deriv
         front = times[-1]
         if s <= front:
             i = bisect.bisect_right(times, s) - 1
@@ -156,22 +155,25 @@ def integrate_reference(
         t0, h, y0, d0, y1, d1 = data
         return _hermite(t0, h, y0[component], d0[component], y1[component], d1[component], s)
 
-    def rhs(t: float, y: tuple[float, ...], stage_limit: float) -> tuple[float, ...]:
-        def resolve(ref: ex.StateRef) -> float:
-            if ref.delay is None:
-                return y[(ref.var - 1) * n + ref.deriv]
-            ratio = specs[ref.delay].law.ratio
-            return lookup(ref.var, ref.deriv, ratio * t, stage_limit)
+    def leaf(ref: ex.StateRef):
+        # the closures read env = (state vector, stage limit)
+        component = (ref.var - 1) * n + ref.deriv
+        if ref.delay is None:
+            return lambda t, env: env[0][component]
+        ratio = specs[ref.delay].law.ratio
+        return lambda t, env: lookup(component, ratio * t, env[1])
 
+    lowered = [ex.compile_numeric(equation, leaf) for equation in reduced.equations]
+
+    def rhs(t: float, y: tuple[float, ...], stage_limit: float) -> tuple[float, ...]:
+        env = (y, stage_limit)
         out = [0.0] * dim
-        for j in range(p):
+        for j, equation in enumerate(lowered):
             base = j * n
             for d in range(n - 1):
                 out[base + d] = y[base + d + 1]
             try:
-                out[base + n - 1] = ex.eval_numeric(
-                    reduced.equations[j], t, resolve
-                )
+                out[base + n - 1] = equation(t, env)
             except ex.EvaluationError as exc:
                 raise OracleError(f"equation {j + 1} at t = {t:g}: {exc}") from None
         return tuple(out)

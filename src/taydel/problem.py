@@ -113,8 +113,8 @@ class CauchyProblem:
                         f"initial data must be finite, got {value!r} for "
                         f"derivative {k} of {name!r}"
                     )
-        if not self.horizon > 0:
-            raise ProblemError(f"horizon must be positive, got {self.horizon!r}")
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+            raise ProblemError(f"horizon must be finite and positive, got {self.horizon!r}")
         if self.trunc_order < 1:
             raise ProblemError(
                 f"truncation order must be at least 1, got {self.trunc_order}"
@@ -176,11 +176,16 @@ class ValidityInterval:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _lag_value(law: TimeVaryingDelay, t: float) -> float:
-    try:
-        return ex.eval_numeric(law.lag, t)
-    except ex.EvaluationError as exc:
-        raise ProblemError(f"delay law evaluation failed: {exc}") from None
+def _lag_function(law: TimeVaryingDelay):
+    """The lag as a function of t, lowered once for scan and bisection."""
+    lag = ex.compile_numeric(law.lag)
+
+    def value(t: float) -> float:
+        try:
+            return lag(t, None)
+        except ex.EvaluationError as exc:
+            raise ProblemError(f"delay law evaluation failed: {exc}") from None
+    return value
 
 
 def _first_positive_root(g, horizon: float, delay_id: str) -> float | None:
@@ -231,12 +236,10 @@ def compute_validity(problem: CauchyProblem) -> ValidityInterval:
         elif isinstance(law, ProportionalDelay):
             continue
         else:
-            samples = [
-                _lag_value(law, horizon * i / SCAN_POINTS)
-                for i in range(SCAN_POINTS + 1)
-            ]
-            for i, value in enumerate(samples):
-                t = horizon * i / SCAN_POINTS
+            lag_at = _lag_function(law)
+            grid = [horizon * i / SCAN_POINTS for i in range(SCAN_POINTS + 1)]
+            samples = [lag_at(t) for t in grid]
+            for t, value in zip(grid, samples):
                 if t > 0 and value <= 0.0:
                     raise ProblemError(
                         f"delay {spec.id!r}: lag must stay positive on the "
@@ -246,13 +249,8 @@ def compute_validity(problem: CauchyProblem) -> ValidityInterval:
                     raise ProblemError(
                         f"delay {spec.id!r}: lag is negative at t = 0"
                     )
-            t_star = min(t_star, min(t - lag for t, lag in zip(
-                (horizon * i / SCAN_POINTS for i in range(SCAN_POINTS + 1)),
-                samples,
-            )))
-            root = _first_positive_root(
-                lambda t, law=law: t - _lag_value(law, t), horizon, spec.id
-            )
+            t_star = min(t_star, min(t - value for t, value in zip(grid, samples)))
+            root = _first_positive_root(lambda t: t - lag_at(t), horizon, spec.id)
             if root is None:
                 notes.append(
                     f"delay {spec.id!r} stays in the history over the whole "

@@ -237,22 +237,37 @@ class TestExitContract:
         assert "error" in err
 
     @pytest.mark.parametrize(
-        "old, new, expected",
+        "old, new, expected, command",
         [
-            pytest.param("horizon = 1", "horizon = 1\n= 3", 1, id="missing_key"),
-            pytest.param("order = 1", "order = 1.5", 1, id="fractional_order"),
-            pytest.param("order = 1", "order = inf", 1, id="infinite_order"),
-            pytest.param("taylor_order = 10", "taylor_order = 1.5", 1, id="fractional_taylor"),
-            pytest.param("taylor_order = 10", "taylor_order = inf", 1, id="infinite_taylor"),
-            pytest.param("init u = [1]", "init u = [inf]", 2, id="infinite_init"),
+            pytest.param("horizon = 1", "horizon = 1\n= 3", 1, "solve", id="missing_key"),
+            pytest.param("order = 1", "order = 1.5", 1, "solve", id="fractional_order"),
+            pytest.param("order = 1", "order = inf", 1, "solve", id="infinite_order"),
+            pytest.param(
+                "taylor_order = 10", "taylor_order = 1.5", 1, "solve", id="fractional_taylor"
+            ),
+            pytest.param(
+                "taylor_order = 10", "taylor_order = inf", 1, "solve", id="infinite_taylor"
+            ),
+            pytest.param("init u = [1]", "init u = [inf]", 2, "solve", id="infinite_init"),
+            pytest.param("horizon = 1", "horizon = inf", 2, "compare", id="infinite_horizon"),
+            pytest.param(
+                "delay half = proportional(1/2)",
+                "delay half = vary(exp(1000*t))\nphi u = 1",
+                2,
+                "solve",
+                id="overflowing_lag",
+            ),
+            pytest.param(
+                "u@half - u", "exp(u)", 2, "compare", id="overflowing_reference"
+            ),
         ],
     )
     def test_malformed_file_gets_its_exit_code_and_one_line(
-        self, run, tmp_path, old, new, expected
+        self, run, tmp_path, old, new, expected, command
     ):
         path = tmp_path / "bad.fde"
         path.write_text(SCALAR.replace(old, new, 1))
-        code, out, err = run("solve", str(path), "--json")
+        code, out, err = run(command, str(path), *(["--json"] if command == "solve" else []))
         assert (code, out) == (expected, "")
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 

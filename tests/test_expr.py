@@ -18,6 +18,7 @@ from taydel.expr import (
     StructureError,
     Sub,
     analyze,
+    compile_numeric,
     eval_numeric,
     eval_series,
     iter_refs,
@@ -294,3 +295,49 @@ class TestEvalNumeric:
     def test_state_resolver(self):
         got = eval_numeric(parse("u1' + 1"), 0.0, lambda ref: 41.0)
         assert got == 42.0
+
+
+class TestCompileNumeric:
+    # expected outcomes recorded from the tree-walking evaluator that
+    # compile_numeric replaced
+    @pytest.mark.parametrize(
+        "text, t, expected",
+        [
+            ("2*t^2 - t + 3", 2.0, 9.0),
+            ("exp(-t)/2", 0.7, 0.24829265189570476),
+            ("1/(t - 1)", 1.0, "division by zero in 1 / (t - 1) at t=1"),
+            ("ln(t)", 0.0, "ln of nonpositive value 0 in ln(t) at t=0"),
+            (
+                "(t - 2)^(1/2)",
+                1.0,
+                "fractional power of negative base in (t - 2)^(0.5) at t=1",
+            ),
+            ("sin(t) * cos(t) - (1 + t)^(1/3)", 0.3, -0.8090716463635883),
+            ("u1' + 1", 0.0, 42.0),
+        ],
+    )
+    def test_closure_agrees_with_eval_numeric(self, text, t, expected):
+        node = parse(text)
+        compiled = compile_numeric(node, lambda ref: lambda t, env: 41.0)
+
+        def outcome(evaluate):
+            try:
+                return evaluate()
+            except EvaluationError as exc:
+                return str(exc)
+
+        assert outcome(lambda: compiled(t, None)) == expected
+        assert outcome(lambda: eval_numeric(node, t, lambda ref: 41.0)) == expected
+
+    def test_exp_overflow_is_an_evaluation_error(self):
+        with pytest.raises(EvaluationError) as excinfo:
+            compile_numeric(parse_expression("exp(1000*t)"))(1.0, None)
+        assert str(excinfo.value) == (
+            "exp overflows at argument 1000 in exp(1000 * t) at t=1"
+        )
+
+    def test_state_reference_without_leaf_fails_when_evaluated(self):
+        compiled = compile_numeric(parse("2 * u1'@a1"))
+        with pytest.raises(EvaluationError) as excinfo:
+            compiled(0.0, None)
+        assert str(excinfo.value) == "state reference u1'@a1 not allowed in this context"

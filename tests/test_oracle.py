@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import pytest
 
@@ -13,6 +15,7 @@ from taydel.oracle import (
 )
 from taydel.problemfile import load_problem, parse_problem
 from taydel.reduce import substitute_history
+from test_engine import random_system
 
 PLAIN = """
 order = 1
@@ -162,3 +165,70 @@ class TestCompare:
             compare(solution, trajectory, (0.0, 0.9), 50)
         with pytest.raises(OracleError):
             compare(solution, trajectory, (0.4, 0.5), 1)
+
+
+# sha256 sums of the 17-digit grid, states, node slopes and extrapolation
+# count the reference integrator produced while it walked every right-hand
+# side node by node at each evaluation; lowering the equations into
+# closures keeps the same float operations in the same order, so a change
+# to the integrator's arithmetic changes a digest.
+TRAJECTORY_DIGESTS = {
+    "example1": "828688cbf7163d09aad758c6060c39716d61aa9aebab725f4a234a6e0fbf23ca",
+    "example2": "ec7da2a5a8d0ef669da54ad7f80a5df6d8c304e12c82a4b992a5056bcd391b39",
+    "example3_u1": "43a1cdfdefcdc6ae0b185138d897fc2967c89233bb78391873ac859da4a0c0c9",
+}
+RANDOM_TRAJECTORY_DIGEST = "2af4b1a2de6f1b0239a02bcc9df7618890837fef80a997a9ac8ca732b118025d"
+
+
+def trajectory_text(trajectory) -> str:
+    lines = [
+        f"{t:.17g}|"
+        + ",".join(f"{x:.17g}" for x in state)
+        + "|"
+        + ",".join(f"{x:.17g}" for x in slope)
+        for t, state, slope in zip(trajectory.times, trajectory.states, trajectory.derivs)
+    ]
+    lines.append(f"extrapolated {trajectory.extrapolated_lookups}")
+    return "\n".join(lines) + "\n"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name", sorted(TRAJECTORY_DIGESTS))
+    def test_fixture_trajectories_match_recorded_digests(self, fixtures_dir, name):
+        reduced = substitute_history(load_problem(fixtures_dir / f"{name}.fde"))
+        trajectory = integrate_reference(reduced, 2e-3, reduced.validity.upper)
+        assert sha256(trajectory_text(trajectory)) == TRAJECTORY_DIGESTS[name]
+
+    def test_random_systems_match_recorded_digest(self):
+        rng = random.Random(20261018)
+        text = ""
+        for _ in range(20):
+            reduced = substitute_history(random_system(rng))
+            text += trajectory_text(
+                integrate_reference(reduced, 1e-2, reduced.validity.upper)
+            )
+        assert sha256(text) == RANDOM_TRAJECTORY_DIGEST
+
+    @pytest.mark.parametrize(
+        "rhs, step, message",
+        [
+            (
+                "ln(1 - t) * u1",
+                1e-2,
+                "equation 1 at t = 1: ln of nonpositive value 0 in ln(1 - t) at t=1",
+            ),
+            (
+                "u1 / (t - 1/2)",
+                0.125,
+                "equation 1 at t = 0.5: division by zero in u1 / (t - 0.5) at t=0.5",
+            ),
+        ],
+    )
+    def test_domain_error_message_is_unchanged(self, rhs, step, message):
+        with pytest.raises(OracleError) as excinfo:
+            integrate_reference(plain_reduced(rhs), step, 1.0)
+        assert (type(excinfo.value), str(excinfo.value)) == (OracleError, message)

@@ -122,6 +122,33 @@ class TestComputeValidity:
         with pytest.raises(ProblemError):
             compute_validity(make_problem([DelaySpec("x", vary("1 - 2*t"))]))
 
+    @pytest.mark.parametrize(
+        "lag, expected",
+        [
+            ("exp(-t)/2", ("-0.5", "0.35173371124919589", "0.35173371124919589")),
+            ("1/2 + t^2/4", ("-0.5", "0.58578643762690508", "0.58578643762690508")),
+            ("1 + t/2", ("-1", "inf", "1")),
+        ],
+    )
+    def test_time_varying_interval_is_pinned(self, lag, expected):
+        # 17-digit values of the scan and bisection, recorded when the lag
+        # was walked as a tree at every point
+        interval = compute_validity(make_problem([DelaySpec("lag", vary(lag))]))
+        got = (interval.t_star, interval.t_alpha, interval.upper)
+        assert tuple(f"{x:.17g}" for x in got) == expected
+
+    @pytest.mark.parametrize(
+        "lag, message",
+        [
+            ("1/(t - 1/2)", "division by zero in 1 / (t - 0.5) at t=0.5"),
+            ("exp(1000*t)", "exp overflows at argument 710 in exp(1000 * t) at t=0.71"),
+        ],
+    )
+    def test_lag_evaluation_failure_is_a_problem_error(self, lag, message):
+        with pytest.raises(ProblemError) as excinfo:
+            compute_validity(make_problem([DelaySpec("lag", vary(lag))]))
+        assert str(excinfo.value) == f"delay law evaluation failed: {message}"
+
     def test_monotone_under_delay_removal(self):
         specs = [
             DelaySpec("a", ConstantDelay(0.4)),
