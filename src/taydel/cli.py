@@ -34,6 +34,11 @@ EXIT_VALIDATION = 2
 EXIT_ENGINE = 3
 EXIT_COMPARISON = 4
 
+
+class UsageError(ValueError):
+    """A flag value that cannot be used."""
+
+
 # discrepancies below this floor are within the reference integrator's own
 # error budget and never count as a comparison failure
 ORACLE_NOISE_FLOOR = 1e-9
@@ -150,6 +155,14 @@ def _warn(message: str) -> None:
 
 def _error(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
+
+
+def _floats(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers of a flag value; empty parts are skipped."""
+    try:
+        return [float(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise UsageError(f"{flag} needs comma-separated numbers, got {text!r}") from None
 
 
 def _run_checks(problem, strict: bool) -> int | None:
@@ -299,7 +312,7 @@ def cmd_eval(args) -> int:
     if failed is not None:
         return failed
     solution = engine.solve(problem, trunc_order=args.order)
-    points = [float(part) for part in args.at.split(",") if part.strip()]
+    points = _floats(args.at, "--at")
     if not points:
         _error("--at needs at least one time value")
         return EXIT_VALIDATION
@@ -333,7 +346,10 @@ def cmd_compare(args) -> int:
         _error(str(exc))
         return EXIT_VALIDATION
     if args.interval:
-        a, b = (float(x) for x in args.interval.split(","))
+        bounds = _floats(args.interval, "--interval")
+        if len(bounds) != 2:
+            raise UsageError(f"--interval needs two numbers a,b, got {args.interval!r}")
+        a, b = bounds
     else:
         a, b = 0.0, reduced.validity.upper
     if not 0.0 <= a < b <= reduced.validity.upper + 1e-12:
@@ -412,31 +428,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the first row whose classes match the failure gives the exit code; the
+# message is printed as one line
+EXIT_CODES = (
+    ((ex.ParseError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError), EXIT_PARSE),
+    ((ProblemError, ex.StructureError, ex.EvaluationError, SeriesError), EXIT_VALIDATION),
+    ((engine.ValidityError, oracle.OracleError, UsageError), EXIT_VALIDATION),
+    (engine.EngineError, EXIT_ENGINE),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ex.ParseError as exc:
-        _error(str(exc))
-        return EXIT_PARSE
-    except (ProblemError, ex.StructureError, ex.EvaluationError, SeriesError) as exc:
-        _error(str(exc))
-        return EXIT_VALIDATION
-    except engine.ValidityError as exc:
-        _error(str(exc))
-        return EXIT_VALIDATION
-    except oracle.OracleRestriction as exc:
-        _error(str(exc))
-        return EXIT_VALIDATION
-    except engine.EngineError as exc:
-        _error(str(exc))
-        return EXIT_ENGINE
-    except oracle.OracleError as exc:
-        _error(str(exc))
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        _error(str(exc))
-        return EXIT_PARSE
+    except Exception as exc:
+        for classes, code in EXIT_CODES:
+            if isinstance(exc, classes):
+                _error(str(exc))
+                return code
+        raise
 
 
 def entry() -> None:

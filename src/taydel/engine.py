@@ -21,26 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from itertools import repeat
 from operator import add, mul
 
 from . import expr as ex
 from .problem import CauchyProblem, ProblemError, ProportionalDelay, ValidityInterval, check_h2
 from .reduce import ReducedSystem, substitute_history
-from .series import (
-    Series,
-    SeriesDomainError,
-    SeriesError,
-    cauchy_term,
-    elementary_term,
-    int_power_chain,
-    monomial,
-    nonzero_base_check,
-    pow_term,
-    reciprocal_term,
-    sincos_term,
-)
+from .series import Series, SeriesError, monomial, non_finite_coefficient
 
 PIVOT_TOLERANCE = 1e-12
 RESIDUAL_TOLERANCE = 1e-9
@@ -267,42 +255,54 @@ def transform_initial_conditions(problem: CauchyProblem | ReducedSystem) -> list
     ]
 
 
-def _non_finite(value: float, index: int) -> SeriesError:
-    return SeriesError(f"non-finite coefficient {value!r} at index {index}")
+def _state_step(reduced: ReducedSystem, specs, table, var: int, ref: ex.StateRef):
+    """The tape step of u^(d)(q t): coefficient k is q**k * (k+d)!/k! *
+    table[k+d], with q**k a running product; table entries are checked as
+    they come into use.  Not a ``_Tape`` method, so that a tape holds no
+    reference cycle and is freed when the march returns."""
+    if ref.delay is not None and not specs[ref.delay].proportional:
+        raise EngineError(
+            f"unreduced delayed reference {ex.pretty(ref, reduced.var_names)}"
+        )
+    if ref.deriv >= reduced.order:
+        raise NonlinearNeutral(
+            var,
+            "top-order delayed reference in a nonlinear position: "
+            f"{ex.pretty(ref, reduced.var_names)}",
+        )
+    row = table[ref.var - 1]
+    d = ref.deriv
 
+    def shifted(k):
+        # round 0 reads the whole prefix, later rounds one new entry
+        for i in range(k + d if k else 0, k + d + 1):
+            if not math.isfinite(row[i]):
+                raise non_finite_coefficient(row[i], i)
+        return math.perm(k + d, d) * row[k + d] if d else row[k]
 
-class _Segment:
-    """The lowered right-hand side of one equation: ``ops`` holds
-    (coefficients, step, wrapping expressions) per node in evaluation
-    order, ``plain`` (sign, coefficients) per ordinary term and
-    ``neutral`` (sign, coefficients, ratio, ratio powers) per neutral
-    term.  A plain class, since creating a dataclass costs import time in
-    every CLI run."""
+    if ref.delay is None:
+        return shifted
+    q = specs[ref.delay].law.ratio
+    q_powers = [1.0]
 
-    __slots__ = ("var", "ops", "plain", "neutral")
+    def scaled(k):
+        if len(q_powers) <= k:
+            q_powers.append(q_powers[-1] * q)
+        return q_powers[k] * shifted(k)
 
-    def __init__(self, var: int, ops: list, plain: list, neutral: list):
-        self.var = var
-        self.ops = ops
-        self.plain = plain
-        self.neutral = neutral
+    return scaled
 
 
 class _Tape:
-    """The right-hand sides of a reduced system, lowered once into a
-    straight-line program over per-node coefficient lists.
-
-    Every subexpression becomes a node whose list holds its Taylor
-    coefficients.  Round k appends coefficient k to every node, in the
-    order a recursive evaluation visits them, from the coefficients its
-    inputs already hold: a Cauchy product, a derivative shift with q**k
-    scaling, or one step of the recurrences in ``series``.  That is O(k)
-    work per node where expanding each right-hand side over series
-    truncated at order k costs O(k**2), and it performs the same float
-    operations in the same order, with the same checks and messages.
+    """The right-hand sides of a reduced system, each lowered once into an
+    ``expr.SeriesTape`` whose state references read the coefficient
+    table.  Round k, for k below ``rounds``, appends coefficient k to every
+    node and derives the new coefficients at index k+n from them, folding
+    in the known part of neutral terms and dividing by their pivot.
     """
 
-    def __init__(self, reduced: ReducedSystem, table, plans: dict[int, tuple]):
+    def __init__(self, reduced: ReducedSystem, table, plans: dict[int, tuple], rounds: int):
+        self.time = tuple(1.0 if k == 1 else 0.0 for k in range(rounds))  # t
         self.reduced = reduced
         self.table = table
         self.specs = reduced.delay_map()
@@ -311,185 +311,46 @@ class _Tape:
 
     # lowering ------------------------------------------------------------------
 
-    def _segment(self, var: int, plan: tuple[list, list]) -> _Segment:
-        self._var = var
-        self._ops: list = []
-        # enclosing quotients, powers and functions: a domain error names
-        # each of them, innermost first
-        self._context: list[ex.Expr] = []
+    def _segment(self, var: int, plan: tuple[list, list]) -> tuple:
+        """(var, tape, plain, neutral): the equation's nodes, (sign,
+        coefficients) per ordinary term and (sign, coefficients, ratio,
+        ratio powers) per neutral term."""
+        leaf = partial(_state_step, self.reduced, self.specs, self.table, var)
+        tape = ex.SeriesTape(self.time, leaf)
         plain_terms, neutral_terms = plan
-        plain = [(sign, self._lower(term)) for sign, term in plain_terms]
+        plain = [(sign, tape.lower(term)) for sign, term in plain_terms]
         neutral = [
-            (sign, self._lower(coefficient), ratio, [])
+            (sign, tape.lower(coefficient), ratio, [])
             for sign, coefficient, ratio in neutral_terms
         ]
-        return _Segment(var, self._ops, plain, neutral)
-
-    def _emit(self, step, out: list | None = None) -> list:
-        out = [] if out is None else out
-        self._ops.append((out, step, tuple(reversed(self._context))))
-        return out
-
-    def _constant(self, value: float) -> list:
-        return self._emit(lambda k: 0.0 if k else value)
-
-    def _product(self, a: list, b: list) -> list:
-        return self._emit(lambda k: cauchy_term(a, b, k))
-
-    def _recurrence(self, term, arg: list, *extra) -> list:
-        out: list[float] = []
-        return self._emit(lambda k: term(arg, out, k, *extra), out)
-
-    def _lower(self, node: ex.Expr) -> list:
-        if isinstance(node, ex.Const):
-            return self._constant(float(node.value))
-        if isinstance(node, ex.Time):
-            return self._emit(lambda k: 1.0 if k == 1 else 0.0)
-        if isinstance(node, ex.KnownSeries):
-            return self._leaf(node.series.coeffs)
-        if isinstance(node, ex.StateRef):
-            return self._state(node)
-        if isinstance(node, ex.Add):
-            a, b = self._lower(node.left), self._lower(node.right)
-            return self._emit(lambda k: a[k] + b[k])
-        if isinstance(node, ex.Sub):
-            a, b = self._lower(node.left), self._lower(node.right)
-            return self._emit(lambda k: a[k] - b[k])
-        if isinstance(node, ex.Neg):
-            a = self._lower(node.operand)
-            return self._emit(lambda k: -a[k])
-        if isinstance(node, ex.Mul):
-            return self._product(self._lower(node.left), self._lower(node.right))
-        self._context.append(node)
-        if isinstance(node, ex.Div):
-            numerator = self._lower(node.left)
-            reciprocal = self._recurrence(reciprocal_term, self._lower(node.right))
-            out = self._product(numerator, reciprocal)
-        elif isinstance(node, ex.Pow):
-            out = self._power(node.base, float(node.exponent))
-        elif isinstance(node, ex.Func):
-            arg = self._lower(node.arg)
-            if node.fn in ("sin", "cos"):
-                out = self._sincos(arg, node.fn)
-            else:
-                out = self._recurrence(elementary_term(node.fn), arg)
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        self._context.pop()
-        return out
-
-    def _leaf(self, coeffs: tuple[float, ...]) -> list:
-        def leaf(k):
-            try:
-                return coeffs[k]
-            except IndexError:
-                raise SeriesError(
-                    f"cannot truncate order-{len(coeffs) - 1} series to order {k}"
-                ) from None
-
-        return self._emit(leaf)
-
-    def _state(self, ref: ex.StateRef) -> list:
-        """Coefficient k of u^(d)(q t): q**k * (k+d)!/k! * table[k+d], where
-        q**k is a running product.  Table entries are checked as they come
-        into use."""
-        reduced = self.reduced
-        if ref.delay is not None and not self.specs[ref.delay].proportional:
-            raise EngineError(
-                f"unreduced delayed reference {ex.pretty(ref, reduced.var_names)}"
-            )
-        if ref.deriv >= reduced.order:
-            raise NonlinearNeutral(
-                self._var,
-                "top-order delayed reference in a nonlinear position: "
-                f"{ex.pretty(ref, reduced.var_names)}",
-            )
-        row = self.table[ref.var - 1]
-        d = ref.deriv
-
-        def shifted(k):
-            # round 0 reads the whole prefix, later rounds one new entry
-            for i in range(k + d if k else 0, k + d + 1):
-                if not math.isfinite(row[i]):
-                    raise _non_finite(row[i], i)
-            return math.perm(k + d, d) * row[k + d] if d else row[k]
-
-        if ref.delay is None:
-            return self._emit(shifted)
-        q = self.specs[ref.delay].law.ratio
-        q_powers = [1.0]
-
-        def scaled(k):
-            if len(q_powers) <= k:
-                q_powers.append(q_powers[-1] * q)
-            return q_powers[k] * shifted(k)
-
-        return self._emit(scaled)
-
-    def _power(self, base_node: ex.Expr, rho: float):
-        if not rho.is_integer():
-            return self._recurrence(pow_term, self._lower(base_node), rho)
-        m = int(rho)
-        base = self._lower(base_node)
-        if m >= 0:
-            return int_power_chain(m, self._product, self._constant(1.0), base)
-
-        def check(k):
-            if not k:
-                nonzero_base_check(base[0], rho)
-            return 0.0
-
-        self._emit(check)
-        power = int_power_chain(-m, self._product, self._constant(1.0), base)
-        return self._recurrence(reciprocal_term, power)
-
-    def _sincos(self, arg: list, fn: str) -> list:
-        s: list[float] = []
-        co: list[float] = []
-        out, companion, pick = (s, co, 0) if fn == "sin" else (co, s, 1)
-
-        def step(k):
-            pair = sincos_term(arg, s, co, k)
-            companion.append(pair[1 - pick])
-            return pair[pick]
-
-        return self._emit(step, out)
+        return var, tape, plain, neutral
 
     # marching ------------------------------------------------------------------
 
-    def fill(self, segment: _Segment, k: int) -> None:
+    def fill(self, segment: tuple, k: int) -> None:
         """Append coefficient k to every node of one equation."""
-        isfinite = math.isfinite
         try:
-            for out, step, where in segment.ops:
-                try:
-                    value = step(k)
-                except SeriesDomainError as exc:
-                    raise SeriesDomainError(
-                        str(exc) + "".join(f" in {ex.pretty(e)}" for e in where)
-                    ) from None
-                if not isfinite(value):
-                    raise _non_finite(value, k)
-                out.append(value)
+            segment[1].fill(k)
         except SeriesError as exc:
-            raise EvalFailure(segment.var, k, str(exc)) from None
+            raise EvalFailure(segment[0], k, str(exc)) from None
 
-    def rhs(self, segment: _Segment, k: int) -> tuple[float, float | None]:
+    def rhs(self, segment: tuple, k: int) -> tuple[float, float | None]:
         """Coefficient of t**k of the right-hand side of one equation; for
         neutral equations also the pivot multiplying the unknown
         coefficient.  Contributions of neutral terms that reference known
         coefficients are folded into the returned value."""
         self.fill(segment, k)
+        var, _, plain, neutral = segment
         value = 0.0
-        for sign, out in segment.plain:
+        for sign, out in plain:
             value += sign * out[k]
-        if not segment.neutral:
+        if not neutral:
             return value, None
         n = self.reduced.order
         perms = self._perms_through(k)
-        row = self.table[segment.var - 1]
+        row = self.table[var - 1]
         pivot = 1.0
-        for sign, coeff, ratio, powers in segment.neutral:
+        for sign, coeff, ratio, powers in neutral:
             while len(powers) <= k:
                 powers.append(ratio ** len(powers))
             pivot -= sign * coeff[0] * powers[k]
@@ -519,7 +380,7 @@ class _Tape:
             if pivot is None:
                 new.append(value / scale)
                 continue
-            var = segment.var
+            var = segment[0]
             if pivot_log is not None:
                 pivot_log.append(PivotEntry(var=var, k=k, pivot=pivot))
             if abs(pivot) < PIVOT_TOLERANCE:
@@ -533,7 +394,7 @@ class _Tape:
 
 def _replayed(reduced: ReducedSystem, table, plans: dict[int, tuple], k: int) -> _Tape:
     """A tape whose nodes hold coefficients 0..k-1, recomputed from the table."""
-    tape = _Tape(reduced, table, plans)
+    tape = _Tape(reduced, table, plans, k + 1)
     for j in range(k):
         for segment in tape.segments:
             tape.fill(segment, j)
@@ -588,11 +449,12 @@ def solve_reduced(reduced: ReducedSystem) -> TaylorSolution:
     plans = {
         var: _plan_equation(reduced, var) for var in range(1, reduced.num_vars + 1)
     }
-    tape = _Tape(reduced, table, plans)
+    # one extra coefficient beyond the target, for the error estimate
+    rounds = target + 2 - n
+    tape = _Tape(reduced, table, plans, rounds)
     pivot_log: list[PivotEntry] = []
     try:
-        # one extra coefficient beyond the target, for the error estimate
-        for k in range(target + 2 - n):
+        for k in range(rounds):
             for row, value in zip(table, tape.round(k, pivot_log)):
                 row.append(value)
     except ZeroPivot as exc:

@@ -17,6 +17,10 @@ State references name a variable, an optional chain of primes for the
 derivative order, and an optional ``@id`` naming a declared delay, e.g.
 ``u2``, ``u1''`` or ``u1'''@a1``.  Parsed trees are immutable; constant
 subexpressions of the arithmetic operators are folded at parse time.
+
+A tree is evaluated by lowering it once: into float closures
+(``compile_numeric``) or into a Taylor tape that extends each node's
+coefficients by one index per round (``SeriesTape``).
 """
 
 from __future__ import annotations
@@ -24,9 +28,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
-from .series import Series, SeriesDomainError, compose_elementary, monomial
+from .series import (
+    Series, SeriesDomainError, SeriesError, cauchy_term, elementary_term, int_power_chain,
+    monomial, non_finite_coefficient, nonzero_base_check, pow_term, reciprocal_term, sincos_term,
+)
 
 
 class ParseError(ValueError):
@@ -277,11 +285,19 @@ class _Parser:
             return _fold_pow(base, self.exponent())
         return base
 
+    def number(self) -> float:
+        """The number token at the cursor; a literal that overflows a double
+        is refused here, the one place a token becomes a float."""
+        tok = self.advance()
+        value = float(tok.text)
+        if math.isinf(value):
+            raise self.error(f"number {tok.text!r} overflows a double", tok)
+        return value
+
     def exponent(self) -> float:
         tok = self.peek()
         if tok.kind == "number":
-            self.advance()
-            return float(tok.text)
+            return self.number()
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             num = self.signed_number()
@@ -291,6 +307,8 @@ class _Parser:
                 if den == 0:
                     raise self.error("zero denominator in exponent")
                 num = num / den
+                if math.isinf(num):
+                    raise self.error("exponent overflows a double")
             self.expect_op(")")
             return num
         raise self.error("expected a numeric exponent")
@@ -300,17 +318,14 @@ class _Parser:
         if self.peek().kind == "op" and self.peek().text == "-":
             self.advance()
             sign = -1.0
-        tok = self.peek()
-        if tok.kind != "number":
+        if self.peek().kind != "number":
             raise self.error("expected a number")
-        self.advance()
-        return sign * float(tok.text)
+        return sign * self.number()
 
     def atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "number":
-            self.advance()
-            return Const(float(tok.text))
+            return Const(self.number())
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             node = self.expr()
@@ -540,60 +555,148 @@ def analyze(
 
 # evaluation -------------------------------------------------------------------
 
-def eval_series(
-    node: Expr,
-    time: Series,
-    resolve: Callable[[StateRef], Series] | None = None,
-) -> Series:
-    """Evaluate the tree over series arithmetic.
-
-    ``time`` supplies the series substituted for ``t`` and fixes the
-    working truncation order.  ``resolve`` maps state references to series
-    of that order; without it any state reference is an error.  Known
-    series leaves are truncated to the working order (a leaf shorter than
-    that is a bookkeeping error and raises).
+class SeriesTape:
+    """Expressions lowered once into a straight-line program over per-node
+    coefficient lists.  ``fill(k)`` appends coefficient k to every node, in
+    the order a recursive evaluation visits them, from what its inputs
+    already hold: a Cauchy product, one step of a recurrence in ``series``,
+    or the step ``leaf(ref) = k -> float`` of a state reference.  Constants,
+    ``t`` and known series are fixed sequences instead: ``time`` holds the
+    series substituted for ``t``, and its length is the number of rounds.
     """
-    order = time.trunc_order
 
-    def ev(n: Expr) -> Series:
-        if isinstance(n, Const):
-            return Series.constant(n.value, order)
-        if isinstance(n, Time):
-            return time
-        if isinstance(n, KnownSeries):
-            return n.series.truncated(order)
-        if isinstance(n, StateRef):
-            if resolve is None:
-                raise EvaluationError(
-                    f"state reference {pretty(n)} not allowed in this context"
+    __slots__ = ("_ops", "_time", "_leaf", "_context")
+
+    def __init__(self, time: Sequence[float], leaf: Callable[[StateRef], Callable]):
+        self._ops: list = []  # (coefficients.append, step, enclosing expressions)
+        self._time = time
+        self._leaf = leaf
+        # enclosing quotients, powers and functions: a domain error names
+        # each of them, innermost first
+        self._context: list[Expr] = []
+
+    def fill(self, k: int) -> None:
+        """Append coefficient k to every node; rounds 0..k-1 must have run."""
+        isfinite = math.isfinite
+        for append, step, where in self._ops:
+            try:
+                value = step(k)
+            except SeriesDomainError as exc:
+                raise SeriesDomainError(
+                    str(exc) + "".join(f" in {pretty(e)}" for e in where)
+                ) from None
+            if not isfinite(value):
+                raise non_finite_coefficient(value, k)
+            append(value)
+
+    def _emit(self, step, out: list | None = None) -> list:
+        out = [] if out is None else out
+        self._ops.append((out.append, step, tuple(reversed(self._context))))
+        return out
+
+    def _constant(self, value: float) -> Sequence[float]:
+        if not math.isfinite(value):  # refused when its round runs
+            return self._emit(lambda k: 0.0 if k else value)
+        return (value,) + (0.0,) * (len(self._time) - 1)
+
+    def _product(self, a: list, b: list) -> list:
+        return self._emit(partial(cauchy_term, a, b))
+
+    def _recurrence(self, term, arg: list, **extra) -> list:
+        out: list[float] = []
+        return self._emit(partial(term, arg, out, **extra), out)
+
+    def lower(self, node: Expr) -> list:
+        """Append the nodes of a tree; returns the sequence of its coefficients."""
+        if isinstance(node, Const):
+            return self._constant(float(node.value))
+        if isinstance(node, Time):
+            return self._time
+        if isinstance(node, KnownSeries):
+            coeffs, order = node.series.coeffs, len(self._time) - 1
+            if len(coeffs) <= order:  # the missing coefficients are unknown, not zero
+                raise SeriesError(
+                    f"cannot truncate order-{len(coeffs) - 1} series to order {order}"
                 )
-            return resolve(n)
-        if isinstance(n, Add):
-            return ev(n.left) + ev(n.right)
-        if isinstance(n, Sub):
-            return ev(n.left) - ev(n.right)
-        if isinstance(n, Mul):
-            return ev(n.left) * ev(n.right)
-        if isinstance(n, Div):
-            try:
-                return ev(n.left) / ev(n.right)
-            except SeriesDomainError as exc:
-                raise SeriesDomainError(f"{exc} in {pretty(n)}") from None
-        if isinstance(n, Neg):
-            return -ev(n.operand)
-        if isinstance(n, Pow):
-            try:
-                return compose_elementary("pow", ev(n.base), exponent=n.exponent)
-            except SeriesDomainError as exc:
-                raise SeriesDomainError(f"{exc} in {pretty(n)}") from None
-        if isinstance(n, Func):
-            try:
-                return compose_elementary(n.fn, ev(n.arg))
-            except SeriesDomainError as exc:
-                raise SeriesDomainError(f"{exc} in {pretty(n)}") from None
-        raise TypeError(f"not an expression node: {n!r}")
+            return coeffs
+        if isinstance(node, StateRef):
+            return self._emit(self._leaf(node))
+        if isinstance(node, Add):
+            a, b = self.lower(node.left), self.lower(node.right)
+            return self._emit(lambda k: a[k] + b[k])
+        if isinstance(node, Sub):
+            a, b = self.lower(node.left), self.lower(node.right)
+            return self._emit(lambda k: a[k] - b[k])
+        if isinstance(node, Neg):
+            a = self.lower(node.operand)
+            return self._emit(lambda k: -a[k])
+        if isinstance(node, Mul):
+            return self._product(self.lower(node.left), self.lower(node.right))
+        self._context.append(node)
+        if isinstance(node, Div):
+            numerator = self.lower(node.left)
+            reciprocal = self._recurrence(reciprocal_term, self.lower(node.right))
+            out = self._product(numerator, reciprocal)
+        elif isinstance(node, Pow):
+            out = self._power(node.base, float(node.exponent))
+        elif isinstance(node, Func):
+            arg = self.lower(node.arg)
+            if node.fn in ("sin", "cos"):
+                out = self._sincos(arg, node.fn)
+            else:
+                out = self._recurrence(elementary_term(node.fn), arg)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        self._context.pop()
+        return out
 
-    return ev(node)
+    def _power(self, base_node: Expr, rho: float) -> list:
+        if not rho.is_integer():
+            return self._recurrence(pow_term, self.lower(base_node), rho=rho)
+        m = int(rho)
+        base = self.lower(base_node)
+        if m >= 0:
+            return int_power_chain(m, self._product, self._constant(1.0), base)
+
+        def check(k):
+            if not k:
+                nonzero_base_check(base[0], rho)
+            return 0.0
+
+        self._emit(check)
+        power = int_power_chain(-m, self._product, self._constant(1.0), base)
+        return self._recurrence(reciprocal_term, power)
+
+    def _sincos(self, arg: list, fn: str) -> list:
+        s: list[float] = []
+        co: list[float] = []
+        out, companion, pick = (s, co, 0) if fn == "sin" else (co, s, 1)
+
+        def step(k):
+            pair = sincos_term(arg, s, co, k)
+            companion.append(pair[1 - pick])
+            return pair[pick]
+
+        return self._emit(step, out)
+
+
+def eval_series(
+    node: Expr, time: Series, resolve: Callable[[StateRef], Series] | None = None
+) -> Series:
+    """Expand the tree over series: ``time`` is the series substituted for
+    ``t`` and fixes the working order, ``resolve`` maps state references to
+    series of at least that order; without it a reference is an error."""
+
+    def leaf(ref: StateRef):
+        if resolve is None:
+            raise EvaluationError(f"state reference {pretty(ref)} not allowed in this context")
+        return resolve(ref).truncated(time.trunc_order).coeffs.__getitem__
+
+    tape = SeriesTape(time.coeffs, leaf)
+    out = tape.lower(node)
+    for k in range(time.trunc_order + 1):
+        tape.fill(k)
+    return Series(tuple(out[: time.trunc_order + 1]))  # a known series may be longer
 
 
 def time_series(order: int) -> Series:
@@ -661,16 +764,6 @@ def compile_numeric(
         return power
     if isinstance(node, Func):
         arg = compile_numeric(node.arg, leaf)
-        if node.fn == "exp":
-            def exp(t, env):
-                x = arg(t, env)
-                try:
-                    return math.exp(x)
-                except OverflowError:
-                    raise EvaluationError(
-                        f"exp overflows at argument {x:g} in {pretty(node)} at t={t:g}"
-                    ) from None
-            return exp
         if node.fn == "ln":
             def ln(t, env):
                 x = arg(t, env)
@@ -680,9 +773,20 @@ def compile_numeric(
                     )
                 return math.log(x)
             return ln
-        if node.fn in ("sin", "cos"):
+        if node.fn in ("exp", "sin", "cos"):
             fn = getattr(math, node.fn)
-            return lambda t, env: fn(arg(t, env))
+            # exp overflows past about 709.78; sin and cos refuse infinity
+            failure = "overflows at" if node.fn == "exp" else "of non-finite"
+
+            def elementary(t, env):
+                x = arg(t, env)
+                try:
+                    return fn(x)
+                except (OverflowError, ValueError):
+                    raise EvaluationError(
+                        f"{node.fn} {failure} argument {x:g} in {pretty(node)} at t={t:g}"
+                    ) from None
+            return elementary
         raise EvaluationError(f"unknown function {node.fn!r}")
     raise TypeError(f"not an expression node: {node!r}")
 

@@ -99,13 +99,15 @@ def integrate_reference(
     feeding each pass's Hermite polynomial to the next (the fixed point of
     that iteration has full order).
     """
-    if step_size <= 0:
+    if not step_size > 0:
         raise OracleError(f"step size must be positive, got {step_size!r}")
     if not 0 < horizon <= reduced.validity.upper + 1e-12:
         raise OracleError(
             f"horizon must lie in (0, {reduced.validity.upper:g}], "
             f"got {horizon!r}"
         )
+    if not math.isfinite(horizon / step_size):
+        raise OracleError(f"step size {step_size!r} cuts [0, {horizon:g}] into too many steps")
     check_supported(reduced)
     n = reduced.order
     p = reduced.num_vars

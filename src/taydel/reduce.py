@@ -103,6 +103,8 @@ def substitute_history(
     references pass through unchanged."""
     n = problem.order
     target = trunc_order if trunc_order is not None else problem.trunc_order
+    if target < 1:
+        raise ProblemError(f"truncation order must be at least 1, got {target}")
     leaf_order = target + 2 * n + 2
     validity = validity or compute_validity(problem)
     specs = problem.delay_map()

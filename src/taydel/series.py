@@ -29,6 +29,10 @@ class SeriesDomainError(SeriesError):
     at the constant term overflows a double."""
 
 
+def non_finite_coefficient(value: float, index: int) -> SeriesError:
+    return SeriesError(f"non-finite coefficient {value!r} at index {index}")
+
+
 @dataclass(frozen=True)
 class Series:
     """Immutable truncated Taylor series."""
@@ -41,7 +45,7 @@ class Series:
             raise SeriesError("a series needs at least its constant coefficient")
         for k, c in enumerate(coeffs):
             if not math.isfinite(c):
-                raise SeriesError(f"non-finite coefficient {c!r} at index {k}")
+                raise non_finite_coefficient(c, k)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

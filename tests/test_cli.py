@@ -1,11 +1,16 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taydel.cli import main
 
@@ -260,6 +265,26 @@ class TestExitContract:
             pytest.param(
                 "u@half - u", "exp(u)", 2, "compare", id="overflowing_reference"
             ),
+            pytest.param("horizon = 1", "horizon = 1e308", 2, "compare", id="huge_horizon"),
+            pytest.param("u@half - u", "u^1e999", 1, "solve", id="overflowing_exponent"),
+            pytest.param("u@half - u", "1e999*u", 1, "solve", id="overflowing_literal"),
+            pytest.param(
+                "u@half - u", "u^(1e300/1e-300)", 1, "solve", id="overflowing_exponent_quotient"
+            ),
+            pytest.param(
+                "delay half = proportional(1/2)",
+                "delay half = vary(t^1e999 + 1)\nphi u = 1",
+                1,
+                "solve",
+                id="overflowing_lag_literal",
+            ),
+            pytest.param(
+                "delay half = proportional(1/2)",
+                "delay half = vary(2 + sin(t*1e300*1e300))\nphi u = 1",
+                2,
+                "solve",
+                id="sine_of_infinity",
+            ),
         ],
     )
     def test_malformed_file_gets_its_exit_code_and_one_line(
@@ -270,6 +295,43 @@ class TestExitContract:
         code, out, err = run(command, str(path), *(["--json"] if command == "solve" else []))
         assert (code, out) == (expected, "")
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+    def test_sine_of_infinity_names_the_argument(self, run, tmp_path):
+        path = tmp_path / "sine.fde"
+        path.write_text(
+            SCALAR.replace("proportional(1/2)", "vary(2 + sin(t*1e300*1e300))\nphi u = 1")
+        )
+        code, _, err = run("solve", str(path))
+        assert code == 2
+        assert "sin of non-finite argument inf in sin(" in err and "at t=0.001" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compare", "--interval", "0.5"], "--interval needs two numbers a,b, got '0.5'"),
+            (
+                ["compare", "--interval", "a,b"],
+                "--interval needs comma-separated numbers, got 'a,b'",
+            ),
+            (["eval", "--at", "x"], "--at needs comma-separated numbers, got 'x'"),
+            (["compare", "--h", "nan"], "step size must be positive, got nan"),
+            (["solve", "--order", "0"], "truncation order must be at least 1, got 0"),
+            (["compare", "--order", "0"], "truncation order must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_flag_value_gets_one_line(self, run, tmp_path, argv, message):
+        path = tmp_path / "scalar.fde"
+        path.write_text(SCALAR)
+        code, out, err = run(argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_unreadable_problem_file_gets_one_line(self, run, tmp_path):
+        binary = tmp_path / "binary.fde"
+        binary.write_bytes(b"order = 1\n\xff\xfe\n")
+        for path in (tmp_path, binary):
+            code, out, err = run("info", str(path))
+            assert (code, out) == (1, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_overflowing_constant_term_is_a_marching_error(self, run, tmp_path):
         path = tmp_path / "overflow.fde"
@@ -310,3 +372,54 @@ init u = [1]
 horizon = 1
 taylor_order = 10
 """
+
+
+# fuzzing the exit contract -----------------------------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.glob("*.fde"))]
+# values that break numbers and expressions; multi-digit runs are left out,
+# since growing taylor_order into the thousands only makes a run slow
+FUZZ_TOKENS = (
+    "inf", "nan", "1e999", "1e308", "0/0", "exp(1000*t)", "sin(t*1e300*1e300)",
+    "(-1)^(1/2)", "-", "^", "/", "(", ")", "=", "[", "]", ",", "'", "@half", "t", "u1",
+)
+# --interval bounds the reference integration: a horizon like 1e308 is
+# accepted, and comparing over all of it would take for ever
+COMMANDS = (
+    ("info",),
+    ("solve", "--json"),
+    ("eval", "--at", "0.1,0.2"),
+    ("compare", "--h", "1e-2", "--samples", "20", "--interval", "0,0.25"),
+)
+
+
+@st.composite
+def mutated_fixture(draw) -> str:
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("insert", "delete", "shuffle")))
+        if kind == "shuffle":
+            text = "\n".join(draw(st.permutations(text.splitlines())))
+            continue
+        at = draw(st.integers(0, len(text)))
+        if kind == "insert":
+            glue = draw(st.sampled_from(("", " ", " + ", " * ")))
+            text = text[:at] + glue + draw(st.sampled_from(FUZZ_TOKENS)) + text[at:]
+        else:
+            text = text[:at] + text[at + draw(st.integers(1, 12)):]
+    return text
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(text=mutated_fixture())
+def test_mutated_fixtures_keep_the_exit_contract(text):
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "fuzz.fde"
+        path.write_text(text)
+        for command, *flags in COMMANDS:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+                code = main([command, str(path), *flags])
+            assert code in range(5), (command, code)
+            if code:
+                assert err.getvalue().count("error: ") <= 1, err.getvalue()
