@@ -301,13 +301,15 @@ class _Tape:
     in the known part of neutral terms and dividing by their pivot.
     """
 
-    def __init__(self, reduced: ReducedSystem, table, plans: dict[int, tuple], rounds: int):
+    def __init__(self, reduced: ReducedSystem, table, rounds: int):
         self.time = tuple(1.0 if k == 1 else 0.0 for k in range(rounds))  # t
         self.reduced = reduced
         self.table = table
         self.specs = reduced.delay_map()
         self.perms: list[int] = []  # perms[j] = (j+n)!/j!
-        self.segments = [self._segment(var, plan) for var, plan in plans.items()]
+        # every equation is planned before any is lowered
+        plans = [_plan_equation(reduced, var) for var in range(1, reduced.num_vars + 1)]
+        self.segments = [self._segment(var, plan) for var, plan in enumerate(plans, start=1)]
 
     # lowering ------------------------------------------------------------------
 
@@ -327,20 +329,17 @@ class _Tape:
 
     # marching ------------------------------------------------------------------
 
-    def fill(self, segment: tuple, k: int) -> None:
-        """Append coefficient k to every node of one equation."""
-        try:
-            segment[1].fill(k)
-        except SeriesError as exc:
-            raise EvalFailure(segment[0], k, str(exc)) from None
-
     def rhs(self, segment: tuple, k: int) -> tuple[float, float | None]:
-        """Coefficient of t**k of the right-hand side of one equation; for
-        neutral equations also the pivot multiplying the unknown
-        coefficient.  Contributions of neutral terms that reference known
-        coefficients are folded into the returned value."""
-        self.fill(segment, k)
-        var, _, plain, neutral = segment
+        """Append coefficient k to every node of one equation and return
+        the coefficient of t**k of its right-hand side; for neutral
+        equations also the pivot multiplying the unknown coefficient.
+        Contributions of neutral terms that reference known coefficients
+        are folded into the returned value."""
+        var, tape, plain, neutral = segment
+        try:
+            tape.fill(k)
+        except SeriesError as exc:
+            raise EvalFailure(var, k, str(exc)) from None
         value = 0.0
         for sign, out in plain:
             value += sign * out[k]
@@ -392,33 +391,6 @@ class _Tape:
         return new
 
 
-def _replayed(reduced: ReducedSystem, table, plans: dict[int, tuple], k: int) -> _Tape:
-    """A tape whose nodes hold coefficients 0..k-1, recomputed from the table."""
-    tape = _Tape(reduced, table, plans, k + 1)
-    for j in range(k):
-        for segment in tape.segments:
-            tape.fill(segment, j)
-    return tape
-
-
-def rhs_coefficient(
-    reduced: ReducedSystem, var: int, k: int, table
-) -> tuple[float, float | None]:
-    """(value, pivot) of one equation at marching index k; see _Tape.rhs.
-    Lowers the equation and replays rounds 0..k-1 from the table."""
-    tape = _replayed(reduced, table, {var: _plan_equation(reduced, var)}, k)
-    return tape.rhs(tape.segments[0], k)
-
-
-def step(reduced: ReducedSystem, k: int, table, plans=None, pivot_log=None) -> list[float]:
-    """Compute the coefficients at index k+n for all variables.  Lowers
-    the equations and replays rounds 0..k-1 from the table; marching a
-    whole system is ``solve_reduced``'s job, which keeps one tape."""
-    if plans is None:
-        plans = [_plan_equation(reduced, var) for var in range(1, reduced.num_vars + 1)]
-    return _replayed(reduced, table, dict(enumerate(plans, start=1)), k).round(k, pivot_log)
-
-
 def solve(problem: CauchyProblem, *, trunc_order: int | None = None) -> TaylorSolution:
     """Full pipeline: structural checks, history substitution, coefficient
     marching, one extra coefficient for error estimation.
@@ -446,12 +418,9 @@ def solve_reduced(reduced: ReducedSystem) -> TaylorSolution:
     n = reduced.order
     target = reduced.trunc_order
     table = transform_initial_conditions(reduced)
-    plans = {
-        var: _plan_equation(reduced, var) for var in range(1, reduced.num_vars + 1)
-    }
     # one extra coefficient beyond the target, for the error estimate
     rounds = target + 2 - n
-    tape = _Tape(reduced, table, plans, rounds)
+    tape = _Tape(reduced, table, rounds)
     pivot_log: list[PivotEntry] = []
     try:
         for k in range(rounds):

@@ -31,10 +31,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
-from .series import (
-    Series, SeriesDomainError, SeriesError, cauchy_term, elementary_term, int_power_chain,
-    monomial, non_finite_coefficient, nonzero_base_check, pow_term, reciprocal_term, sincos_term,
-)
+from .series import Series, SeriesError, Tape, monomial
 
 
 class ParseError(ValueError):
@@ -555,129 +552,58 @@ def analyze(
 
 # evaluation -------------------------------------------------------------------
 
-class SeriesTape:
-    """Expressions lowered once into a straight-line program over per-node
-    coefficient lists.  ``fill(k)`` appends coefficient k to every node, in
-    the order a recursive evaluation visits them, from what its inputs
-    already hold: a Cauchy product, one step of a recurrence in ``series``,
-    or the step ``leaf(ref) = k -> float`` of a state reference.  Constants,
-    ``t`` and known series are fixed sequences instead: ``time`` holds the
-    series substituted for ``t``, and its length is the number of rounds.
+class SeriesTape(Tape):
+    """Expressions lowered once onto a ``series.Tape``: each node maps onto
+    the tape's rule for it, and a state reference onto the step
+    ``leaf(ref) = k -> float``.  ``time`` holds the series substituted for
+    ``t``, and its length is the number of rounds.
     """
 
-    __slots__ = ("_ops", "_time", "_leaf", "_context")
+    __slots__ = ("_time", "_leaf")
 
     def __init__(self, time: Sequence[float], leaf: Callable[[StateRef], Callable]):
-        self._ops: list = []  # (coefficients.append, step, enclosing expressions)
+        super().__init__(len(time))
         self._time = time
         self._leaf = leaf
-        # enclosing quotients, powers and functions: a domain error names
-        # each of them, innermost first
-        self._context: list[Expr] = []
 
-    def fill(self, k: int) -> None:
-        """Append coefficient k to every node; rounds 0..k-1 must have run."""
-        isfinite = math.isfinite
-        for append, step, where in self._ops:
-            try:
-                value = step(k)
-            except SeriesDomainError as exc:
-                raise SeriesDomainError(
-                    str(exc) + "".join(f" in {pretty(e)}" for e in where)
-                ) from None
-            if not isfinite(value):
-                raise non_finite_coefficient(value, k)
-            append(value)
-
-    def _emit(self, step, out: list | None = None) -> list:
-        out = [] if out is None else out
-        self._ops.append((out.append, step, tuple(reversed(self._context))))
-        return out
-
-    def _constant(self, value: float) -> Sequence[float]:
-        if not math.isfinite(value):  # refused when its round runs
-            return self._emit(lambda k: 0.0 if k else value)
-        return (value,) + (0.0,) * (len(self._time) - 1)
-
-    def _product(self, a: list, b: list) -> list:
-        return self._emit(partial(cauchy_term, a, b))
-
-    def _recurrence(self, term, arg: list, **extra) -> list:
-        out: list[float] = []
-        return self._emit(partial(term, arg, out, **extra), out)
-
-    def lower(self, node: Expr) -> list:
+    def lower(self, node: Expr) -> Sequence[float]:
         """Append the nodes of a tree; returns the sequence of its coefficients."""
         if isinstance(node, Const):
-            return self._constant(float(node.value))
+            return self.constant(float(node.value))
         if isinstance(node, Time):
             return self._time
         if isinstance(node, KnownSeries):
-            coeffs, order = node.series.coeffs, len(self._time) - 1
+            coeffs, order = node.series.coeffs, self.rounds - 1
             if len(coeffs) <= order:  # the missing coefficients are unknown, not zero
                 raise SeriesError(
                     f"cannot truncate order-{len(coeffs) - 1} series to order {order}"
                 )
             return coeffs
         if isinstance(node, StateRef):
-            return self._emit(self._leaf(node))
+            return self.emit(self._leaf(node))
         if isinstance(node, Add):
             a, b = self.lower(node.left), self.lower(node.right)
-            return self._emit(lambda k: a[k] + b[k])
+            return self.emit(lambda k: a[k] + b[k])
         if isinstance(node, Sub):
             a, b = self.lower(node.left), self.lower(node.right)
-            return self._emit(lambda k: a[k] - b[k])
+            return self.emit(lambda k: a[k] - b[k])
         if isinstance(node, Neg):
             a = self.lower(node.operand)
-            return self._emit(lambda k: -a[k])
+            return self.emit(lambda k: -a[k])
         if isinstance(node, Mul):
-            return self._product(self.lower(node.left), self.lower(node.right))
-        self._context.append(node)
+            return self.product(self.lower(node.left), self.lower(node.right))
+        self._context.append(partial(pretty, node))
         if isinstance(node, Div):
             numerator = self.lower(node.left)
-            reciprocal = self._recurrence(reciprocal_term, self.lower(node.right))
-            out = self._product(numerator, reciprocal)
+            out = self.product(numerator, self.elementary("reciprocal", self.lower(node.right)))
         elif isinstance(node, Pow):
-            out = self._power(node.base, float(node.exponent))
+            out = self.power(self.lower(node.base), float(node.exponent))
         elif isinstance(node, Func):
-            arg = self.lower(node.arg)
-            if node.fn in ("sin", "cos"):
-                out = self._sincos(arg, node.fn)
-            else:
-                out = self._recurrence(elementary_term(node.fn), arg)
+            out = self.elementary(node.fn, self.lower(node.arg))
         else:
             raise TypeError(f"not an expression node: {node!r}")
         self._context.pop()
         return out
-
-    def _power(self, base_node: Expr, rho: float) -> list:
-        if not rho.is_integer():
-            return self._recurrence(pow_term, self.lower(base_node), rho=rho)
-        m = int(rho)
-        base = self.lower(base_node)
-        if m >= 0:
-            return int_power_chain(m, self._product, self._constant(1.0), base)
-
-        def check(k):
-            if not k:
-                nonzero_base_check(base[0], rho)
-            return 0.0
-
-        self._emit(check)
-        power = int_power_chain(-m, self._product, self._constant(1.0), base)
-        return self._recurrence(reciprocal_term, power)
-
-    def _sincos(self, arg: list, fn: str) -> list:
-        s: list[float] = []
-        co: list[float] = []
-        out, companion, pick = (s, co, 0) if fn == "sin" else (co, s, 1)
-
-        def step(k):
-            pair = sincos_term(arg, s, co, k)
-            companion.append(pair[1 - pick])
-            return pair[pick]
-
-        return self._emit(step, out)
 
 
 def eval_series(
@@ -694,8 +620,7 @@ def eval_series(
 
     tape = SeriesTape(time.coeffs, leaf)
     out = tape.lower(node)
-    for k in range(time.trunc_order + 1):
-        tape.fill(k)
+    tape.run()
     return Series(tuple(out[: time.trunc_order + 1]))  # a known series may be longer
 
 

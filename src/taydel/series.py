@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import add, mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class SeriesError(ValueError):
@@ -183,24 +183,6 @@ def cauchy_term(a, b, k: int) -> float:
     return sum(map(mul, a[: k + 1], b[k::-1]))
 
 
-def int_power_chain(m: int, multiply, one, base):
-    """base**m for integer m >= 0 by binary exponentiation, as the sequence
-    of ``multiply`` calls that both series and the marching tape perform."""
-    result = one
-    while m > 0:
-        if m & 1:
-            result = multiply(result, base)
-        m >>= 1
-        if m:
-            base = multiply(base, base)
-    return result
-
-
-def _int_power(u: Series, m: int) -> Series:
-    """u**m for integer m >= 0 (no domain limits)."""
-    return int_power_chain(m, Series.__mul__, Series.constant(1.0, u.trunc_order), u)
-
-
 # Per-index recurrences.  Each returns coefficient k of f(u) from the
 # coefficients c[0..k] of u and the result's known coefficients w[0..k-1];
 # index 0 applies f itself and checks its domain.  Sums add their terms in
@@ -283,12 +265,104 @@ def elementary_term(tag: str):
         raise SeriesError(f"unknown elementary function tag {tag!r}") from None
 
 
-def nonzero_base_check(c0: float, rho: float) -> None:
-    """Negative integer powers divide by the base's constant term."""
-    if c0 == 0.0:
-        raise SeriesDomainError(
-            f"pow({rho:g}) requires a nonzero constant term, got 0"
-        )
+class Tape:
+    """A straight-line program over per-node coefficient lists, the one
+    driver of the rules above.  ``fill(k)`` appends coefficient k to every
+    node, in the order the nodes were emitted, from what its inputs already
+    hold: a Cauchy product, one step of a per-index recurrence, or any step
+    ``k -> float``.  Constants and known series are fixed sequences that
+    take no step.  ``rounds`` is the number of coefficients a node holds
+    once ``run`` returns.
+    """
+
+    __slots__ = ("rounds", "_ops", "_context")
+
+    def __init__(self, rounds: int):
+        self.rounds = rounds
+        self._ops: list = []  # (coefficients.append, step, enclosing labels)
+        # zero-argument callables naming the enclosing quotients, powers and
+        # functions: a domain error names each of them, innermost first
+        self._context: list = []
+
+    def fill(self, k: int) -> None:
+        """Append coefficient k to every node; rounds 0..k-1 must have run."""
+        isfinite = math.isfinite
+        for append, step, where in self._ops:
+            try:
+                value = step(k)
+            except SeriesDomainError as exc:
+                raise SeriesDomainError(
+                    str(exc) + "".join(f" in {label()}" for label in where)
+                ) from None
+            if not isfinite(value):
+                raise non_finite_coefficient(value, k)
+            append(value)
+
+    def run(self) -> None:
+        for k in range(self.rounds):
+            self.fill(k)
+
+    def emit(self, step, out: list | None = None) -> list:
+        out = [] if out is None else out
+        self._ops.append((out.append, step, tuple(reversed(self._context))))
+        return out
+
+    def constant(self, value: float) -> Sequence[float]:
+        if not math.isfinite(value):  # refused when its round runs
+            return self.emit(lambda k: 0.0 if k else value)
+        return (value,) + (0.0,) * (self.rounds - 1)
+
+    def product(self, a: Sequence[float], b: Sequence[float]) -> list:
+        return self.emit(partial(cauchy_term, a, b))
+
+    def _recurrence(self, term, arg: Sequence[float], **extra) -> list:
+        out: list[float] = []
+        return self.emit(partial(term, arg, out, **extra), out)
+
+    def elementary(self, tag: str, arg: Sequence[float]) -> list:
+        """f(arg) for ``exp``, ``ln``, ``sin``, ``cos`` or ``reciprocal``."""
+        if tag in ("sin", "cos"):
+            return self._sincos(arg, tag)
+        return self._recurrence(elementary_term(tag), arg)
+
+    def power(self, base: Sequence[float], rho: float) -> Sequence[float]:
+        """base**rho.  A whole exponent is a chain of products by binary
+        exponentiation and places no restriction on the base; a negative
+        one takes the reciprocal of that chain, after checking that the
+        base's constant term is nonzero.  A fractional exponent runs its
+        recurrence, which requires a positive constant term."""
+        if not rho.is_integer():
+            return self._recurrence(pow_term, base, rho=rho)
+        m = int(rho)
+        if m < 0:
+            def check(k):
+                if not k and base[0] == 0.0:
+                    raise SeriesDomainError(
+                        f"pow({rho:g}) requires a nonzero constant term, got 0"
+                    )
+                return 0.0
+
+            self.emit(check)
+        result, square, e = self.constant(1.0), base, abs(m)
+        while e > 0:
+            if e & 1:
+                result = self.product(result, square)
+            e >>= 1
+            if e:
+                square = self.product(square, square)
+        return result if m >= 0 else self._recurrence(reciprocal_term, result)
+
+    def _sincos(self, arg: Sequence[float], fn: str) -> list:
+        s: list[float] = []
+        co: list[float] = []
+        out, companion, pick = (s, co, 0) if fn == "sin" else (co, s, 1)
+
+        def step(k):
+            pair = sincos_term(arg, s, co, k)
+            companion.append(pair[1 - pick])
+            return pair[pick]
+
+        return self.emit(step, out)
 
 
 def compose_elementary(tag: str, u: Series, exponent: float | None = None) -> Series:
@@ -304,40 +378,17 @@ def compose_elementary(tag: str, u: Series, exponent: float | None = None) -> Se
     require u[0] > 0, ``reciprocal`` requires u[0] != 0.  An exp or power
     whose constant term overflows a double is a domain error too.
     """
-    c = u.coeffs
-    n = u.trunc_order
-    if tag == "pow":
-        if exponent is None:
-            raise SeriesError("pow requires an exponent")
-        rho = float(exponent)
-        if rho.is_integer():
-            m = int(rho)
-            if m >= 0:
-                return _int_power(u, m)
-            nonzero_base_check(c[0], rho)
-            return compose_elementary("reciprocal", _int_power(u, -m))
-        w: list[float] = []
-        for k in range(n + 1):
-            w.append(pow_term(c, w, k, rho))
-        return Series(tuple(w))
-
-    if exponent is not None:
+    if tag == "pow" and exponent is None:
+        raise SeriesError("pow requires an exponent")
+    if tag != "pow" and exponent is not None:
         raise SeriesError(f"{tag} takes no exponent")
-
-    if tag in ("sin", "cos"):
-        s: list[float] = []
-        co: list[float] = []
-        for k in range(n + 1):
-            s_k, co_k = sincos_term(c, s, co, k)
-            s.append(s_k)
-            co.append(co_k)
-        return Series(tuple(s if tag == "sin" else co))
-
-    term = elementary_term(tag)
-    w = []
-    for k in range(n + 1):
-        w.append(term(c, w, k))
-    return Series(tuple(w))
+    tape = Tape(len(u.coeffs))
+    if tag == "pow":
+        out = tape.power(u.coeffs, float(exponent))
+    else:
+        out = tape.elementary(tag, u.coeffs)
+    tape.run()
+    return Series(tuple(out))
 
 
 def compose_polynomial(outer: Iterable[float], inner: Series) -> Series:
@@ -354,14 +405,11 @@ def compose_polynomial(outer: Iterable[float], inner: Series) -> Series:
             "polynomial composition requires a zero constant term in the "
             f"inner series, got {inner.coeffs[0]!r}"
         )
-    order = inner.trunc_order
-    out = [0.0] * (order + 1)
-    power = Series.constant(1.0, order)
-    for k, coeff in enumerate(outer):
-        if k > order:
-            break
-        if k > 0:
-            power = power * inner
-        for i, p in enumerate(power.coeffs):
-            out[i] += coeff * p
+    outer = tuple(outer)
+    tape = Tape(len(inner.coeffs))
+    powers = [tape.constant(1.0)]
+    for _ in range(min(len(outer), tape.rounds) - 1):
+        powers.append(tape.product(powers[-1], inner.coeffs))
+    out = tape.emit(lambda k: reduce(add, map(mul, outer, [p[k] for p in powers]), 0.0))
+    tape.run()
     return Series(tuple(out))

@@ -11,10 +11,8 @@ from taydel.engine import (
     estimate_error,
     evaluate_solution,
     residual_coefficients,
-    rhs_coefficient,
     solve,
     solve_reduced,
-    step,
     transform_initial_conditions,
 )
 from taydel.expr import parse_expression
@@ -57,37 +55,33 @@ class TestTransformInitialConditions:
 
 
 class TestRhsCoefficient:
+    """Right-hand-side coefficient k of one equation, read back from the
+    marched table: coefficient k+n times (k+n)!/k!."""
+
     def test_square_term_at_start(self, fixtures_dir):
         reduced = substitute_history(load_problem(fixtures_dir / "example1.fde"))
-        table = transform_initial_conditions(reduced)
-        value, pivot = rhs_coefficient(reduced, 1, 0, table)
-        assert value == 1.0
-        assert pivot is None
+        solution = solve_reduced(reduced)
+        assert solution.series[0].coeffs[1] * 1 == 1.0
+        assert all(entry.var != 1 for entry in solution.pivot_log)
 
     def test_product_with_history_constant(self, fixtures_dir):
         reduced = substitute_history(load_problem(fixtures_dir / "example2.fde"))
-        table = transform_initial_conditions(reduced)
-        value, pivot = rhs_coefficient(reduced, 2, 0, table)
-        assert value == pytest.approx(2.0, abs=1e-14)
-        assert pivot is None
+        solution = solve_reduced(reduced)
+        assert solution.series[1].coeffs[2] * 2 == pytest.approx(2.0, abs=1e-14)
+        assert all(entry.var != 2 for entry in solution.pivot_log)
 
     def test_neutral_equation_reports_pivot(self):
-        reduced = substitute_history(scalar_neutral("1/2 * u1'@half"))
-        table = transform_initial_conditions(reduced)
-        value, pivot = rhs_coefficient(reduced, 1, 0, table)
-        assert value == 0.0
-        assert pivot == pytest.approx(0.5)
+        solution = solve_reduced(substitute_history(scalar_neutral("1/2 * u1'@half")))
+        assert solution.series[0].coeffs[1] == 0.0
+        assert solution.pivot_log[0].k == 0
+        assert solution.pivot_log[0].pivot == pytest.approx(0.5)
 
 
 class TestStep:
     def test_first_two_rounds_of_coupled_system(self, fixtures_dir):
         reduced = substitute_history(load_problem(fixtures_dir / "example1.fde"))
-        table = transform_initial_conditions(reduced)
-        for value, row in zip(step(reduced, 0, table), table):
-            row.append(value)
+        table = [s.coeffs for s in solve_reduced(reduced).series]
         assert [row[1] for row in table] == pytest.approx([1.0, 0.5, 1.0])
-        for value, row in zip(step(reduced, 1, table), table):
-            row.append(value)
         assert [row[2] for row in table] == pytest.approx([0.5, 0.125, 3.0])
 
     def test_polynomial_solution_terminates(self, fixtures_dir):

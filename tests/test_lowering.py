@@ -25,8 +25,10 @@ from taydel.engine import residual_coefficients, solve_reduced
 from taydel.expr import KnownSeries, Mul, eval_series, parse_expression
 from taydel.problem import check_compatibility
 from taydel.problemfile import load_problem, parse_problem
-from taydel.reduce import substitute_history
-from taydel.series import Series, SeriesError
+from taydel.reduce import delay_argument_series, substitute_history
+from taydel.series import (
+    Series, SeriesDomainError, SeriesError, compose_elementary, compose_polynomial,
+)
 from test_engine import random_system
 
 CONSTANT_LAG = """\
@@ -193,3 +195,116 @@ def test_lowering_matches_mpmath_taylor(name, a0):
         scale = max(abs(c) for c in exact)
         for k, (g, e) in enumerate(zip(got, exact)):
             assert abs(g - e) <= 1e-14 * scale, (k, g, e)
+
+
+# series compositions ------------------------------------------------------------
+#
+# Digests of the 17-digit output of ``compose_elementary``,
+# ``compose_polynomial`` and ``Series.__truediv__``, recorded while each
+# still ran its own loops over whole series, before all three moved onto
+# the coefficient tape.
+
+COMPOSE_CASES = (
+    [(tag, None) for tag in ("exp", "ln", "sin", "cos", "reciprocal")]
+    + [("pow", float(m)) for m in (0, 1, 2, 3, 4, 5, -1, -2, -3)]
+    + [("pow", 1 / 3)]
+)
+COMPOSE_DIGESTS = {
+    3: "49ee5235f0d221865c395769d8d3263d0060a0ad430bc9039eb62a72f35817a7",
+    40: "cd2edce7a93992f262a93c42790a104d20041e2af25d2fdb2238c5ad9597e258",
+}
+POLYNOMIAL_DIGESTS = {
+    "example2": "ead6ee14e97e1fbadece61bbf66437da1f250af32164cda0f0bf8f529916ac96",
+    "exp_lag": "562e8895ddf9c3888085cbf3ef61fd0b4e400a32699f9d84e65970247747e865",
+    "polynomial_lag": "e6da7f9338c916f4cf7fff9a6534d0d25db24ebe20c7674ddca9da245c849ce1",
+}
+DIVISION_DIGEST = "08ef7579a4cbb10de9cedff468caf07767a04ad7b6f04af3ce5131c64a9f0185"
+
+
+def base_series(order):
+    return Series((0.75,) + tuple((-0.6) ** k / (k + 1) for k in range(1, order + 1)))
+
+
+@pytest.mark.parametrize("order", sorted(COMPOSE_DIGESTS))
+def test_compose_elementary_matches_recorded_digest(order):
+    u = base_series(order)
+    text = "".join(
+        f"{tag} {exponent} {digits(compose_elementary(tag, u, exponent).coeffs)}\n"
+        for tag, exponent in COMPOSE_CASES
+    )
+    assert sha256(text) == COMPOSE_DIGESTS[order]
+
+
+@pytest.mark.parametrize("name", sorted(POLYNOMIAL_DIGESTS))
+def test_compose_polynomial_on_history_leaves_matches_recorded_digest(fixtures_dir, name):
+    """The composition step of every history leaf at N = 40, including the
+    constant-lag leaves that ``history_leaf`` shortcuts."""
+    problem = PROBLEMS[name](fixtures_dir)
+    order = 40 + 2 * problem.order + 2
+    lines = []
+    for spec in problem.delays:
+        if spec.proportional:
+            continue
+        argument = delay_argument_series(spec, order)
+        a0 = argument.coeffs[0]
+        inner = argument - Series.constant(a0, order)
+        for phi in problem.phi:
+            for deriv in range(problem.order + 1):
+                about = Series((a0, 1.0) + (0.0,) * (order + deriv - 1))
+                outer = eval_series(phi, about).differentiate(deriv)
+                lines.append(digits(compose_polynomial(outer.coeffs, inner).coeffs))
+    assert sha256("\n".join(lines)) == POLYNOMIAL_DIGESTS[name]
+
+
+def test_series_division_matches_recorded_digest():
+    a, b = base_series(40), Series(tuple(1.0 / (k + 2) for k in range(41)))
+    quotients = (a / b, b / a, a / -b, a / 3.0, b / -0.7)
+    assert sha256("\n".join(digits(q.coeffs) for q in quotients)) == DIVISION_DIGEST
+
+
+def _pow(base, exponent):
+    return lambda: compose_elementary("pow", Series(base), exponent)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: compose_elementary("ln", Series((0.0, 1.0))), SeriesDomainError,
+         "ln requires a positive constant term, got 0.0"),
+        (lambda: compose_elementary("ln", Series((-2.0, 1.0))), SeriesDomainError,
+         "ln requires a positive constant term, got -2.0"),
+        (lambda: compose_elementary("reciprocal", Series((0.0, 1.0))), SeriesDomainError,
+         "reciprocal requires a nonzero constant term, got 0"),
+        (lambda: Series((1.0, 1.0)) / Series((0.0, 1.0)), SeriesDomainError,
+         "reciprocal requires a nonzero constant term, got 0"),
+        (lambda: compose_elementary("exp", Series((1000.0, 1.0))), SeriesDomainError,
+         "exp overflows at constant term 1000.0"),
+        (_pow((-1.0, 1.0), 0.5), SeriesDomainError,
+         "pow(0.5) requires a positive constant term, got -1.0"),
+        (_pow((1e300, 1.0), 1.5), SeriesDomainError,
+         "pow(1.5) overflows at constant term 1e+300"),
+        (_pow((0.0, 1.0), -2), SeriesDomainError,
+         "pow(-2) requires a nonzero constant term, got 0"),
+        (_pow((1e-200, 1.0), -2), SeriesDomainError,
+         "reciprocal requires a nonzero constant term, got 0"),
+        (_pow((1e200, 1.0, 0.0), 2), SeriesError, "non-finite coefficient inf at index 0"),
+        (_pow((1.0, 1e200, 0.0), 3), SeriesError, "non-finite coefficient inf at index 2"),
+        (_pow((1e200, 1.0, 0.0), -2), SeriesError, "non-finite coefficient inf at index 0"),
+        (lambda: compose_elementary("exp", Series((0.0, 1e200, 1e300))), SeriesError,
+         "non-finite coefficient inf at index 2"),
+        (lambda: compose_polynomial((1e300, 1e300), Series((0.0, 1e300, 0.0))), SeriesError,
+         "non-finite coefficient inf at index 1"),
+        (lambda: compose_polynomial((1.0, 1.0), Series((0.5, 1.0))), SeriesError,
+         "polynomial composition requires a zero constant term in the inner series, got 0.5"),
+        (lambda: compose_elementary("tan", Series((0.0, 1.0))), SeriesError,
+         "unknown elementary function tag 'tan'"),
+        (lambda: compose_elementary("pow", Series((1.0, 1.0))), SeriesError,
+         "pow requires an exponent"),
+        (lambda: compose_elementary("exp", Series((1.0, 1.0)), 2), SeriesError,
+         "exp takes no exponent"),
+    ],
+)
+def test_composition_errors_keep_their_text(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == message
