@@ -8,89 +8,25 @@ given history function on the first interval; the remaining system is
 turned into an algebraic recurrence on Taylor coefficients and marched to
 the requested order.  An independent fixed-step RK4 integrator with dense
 output serves as a reference for validation.
+
+The package root exports the pipeline entry points; everything else is
+imported from its module.
 """
 
-from .engine import (
-    EngineError,
-    ErrorEstimate,
-    NonlinearNeutral,
-    TaylorSolution,
-    ValidityError,
-    ZeroPivotInconsistent,
-    ZeroPivotUnderdetermined,
-    estimate_error,
-    evaluate_solution,
-    solve,
-    solve_reduced,
-)
-from .expr import ParseError, StructureError, analyze, parse_expression, pretty
-from .oracle import DenseTrajectory, OracleError, OracleRestriction, compare, integrate_reference, sample
-from .problem import (
-    CauchyProblem,
-    ConstantDelay,
-    DelaySpec,
-    ProblemError,
-    ProportionalDelay,
-    TimeVaryingDelay,
-    ValidityInterval,
-    check_compatibility,
-    check_h2,
-    compute_validity,
-)
+from .engine import ZeroPivotInconsistent, estimate_error, evaluate_solution, solve, solve_reduced
+from .problem import check_compatibility
 from .problemfile import load_problem, parse_problem
-from .reduce import ReducedSystem, delay_argument_series, substitute_history
-from .series import (
-    Series,
-    SeriesDomainError,
-    SeriesError,
-    compose_elementary,
-    exp_linear,
-    monomial,
-)
+from .reduce import substitute_history
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CauchyProblem",
-    "ConstantDelay",
-    "DelaySpec",
-    "DenseTrajectory",
-    "EngineError",
-    "ErrorEstimate",
-    "NonlinearNeutral",
-    "OracleError",
-    "OracleRestriction",
-    "ParseError",
-    "ProblemError",
-    "ProportionalDelay",
-    "ReducedSystem",
-    "Series",
-    "SeriesDomainError",
-    "SeriesError",
-    "StructureError",
-    "TaylorSolution",
-    "TimeVaryingDelay",
-    "ValidityError",
-    "ValidityInterval",
     "ZeroPivotInconsistent",
-    "ZeroPivotUnderdetermined",
-    "analyze",
     "check_compatibility",
-    "check_h2",
-    "compare",
-    "compose_elementary",
-    "compute_validity",
-    "delay_argument_series",
     "estimate_error",
     "evaluate_solution",
-    "exp_linear",
-    "integrate_reference",
     "load_problem",
-    "monomial",
-    "parse_expression",
     "parse_problem",
-    "pretty",
-    "sample",
     "solve",
     "solve_reduced",
     "substitute_history",

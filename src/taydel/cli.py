@@ -245,19 +245,19 @@ def _solve_one(args, path) -> tuple[int, str]:
     failed = _run_checks(problem, args.strict)
     if failed is not None:
         return failed, ""
-    validity = compute_validity(problem)
+    reduced = substitute_history(problem, trunc_order=args.order)
     try:
-        solution = engine.solve(problem, trunc_order=args.order)
+        solution = engine.solve_reduced(reduced)
     except engine.ZeroPivot as exc:
         _error(str(exc))
         names = exc.var_names or problem.var_names
         coeffs = exc.partial_coeffs or ()
         if args.json:
-            text = _solution_json(names, coeffs, validity, None, ())
+            text = _solution_json(names, coeffs, reduced.validity, None, ())
         elif args.csv:
             text = _solution_csv(names, coeffs)
         else:
-            text = _solution_text(names, coeffs, validity, None)
+            text = _solution_text(names, coeffs, reduced.validity, None)
         return EXIT_ENGINE, text
     solution = engine.with_error_estimate(solution, solution.validity.upper)
     coeffs = [s.coeffs for s in solution.series]
@@ -311,7 +311,7 @@ def cmd_eval(args) -> int:
     failed = _run_checks(problem, args.strict)
     if failed is not None:
         return failed
-    solution = engine.solve(problem, trunc_order=args.order)
+    solution = engine.solve_reduced(substitute_history(problem, trunc_order=args.order))
     points = _floats(args.at, "--at")
     if not points:
         _error("--at needs at least one time value")
@@ -336,8 +336,7 @@ def cmd_compare(args) -> int:
     failed = _run_checks(problem, args.strict)
     if failed is not None:
         return failed
-    target = args.order if args.order is not None else problem.trunc_order
-    reduced = substitute_history(problem, trunc_order=target)
+    reduced = substitute_history(problem, trunc_order=args.order)
     try:
         # restriction check happens before any solving so that unsupported
         # systems report the offending term rather than a marching error

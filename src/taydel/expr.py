@@ -19,15 +19,15 @@ derivative order, and an optional ``@id`` naming a declared delay, e.g.
 subexpressions of the arithmetic operators are folded at parse time.
 
 A tree is evaluated by lowering it once: into float closures
-(``compile_numeric``) or into a Taylor tape that extends each node's
-coefficients by one index per round (``SeriesTape``).
+(``compile_numeric``) or onto the coefficient tape of ``series``, which
+extends each node's coefficients by one index per round (``SeriesTape``).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
@@ -39,6 +39,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, line: int = 1, column: int = 0):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -463,22 +464,44 @@ def pretty(node: Expr, variables: Sequence[str] | None = None) -> str:
 
 # structure analysis -----------------------------------------------------------
 
+_CHILDREN = {
+    Add: ("left", "right"),
+    Sub: ("left", "right"),
+    Mul: ("left", "right"),
+    Div: ("left", "right"),
+    Neg: ("operand",),
+    Pow: ("base",),
+    Func: ("arg",),
+}
+
+
 def iter_refs(node: Expr) -> Iterator[StateRef]:
-    """All state references in the tree, in depth-first order."""
+    """All state references in the tree, depth first, left to right.  An
+    explicit stack, so that the structure check of a long sum does not
+    run into the recursion limit."""
     stack = [node]
     while stack:
         n = stack.pop()
         if isinstance(n, StateRef):
             yield n
-        elif isinstance(n, (Add, Sub, Mul, Div)):
-            stack.append(n.right)
-            stack.append(n.left)
-        elif isinstance(n, Neg):
-            stack.append(n.operand)
-        elif isinstance(n, Pow):
-            stack.append(n.base)
-        elif isinstance(n, Func):
-            stack.append(n.arg)
+        else:
+            for c in reversed(_CHILDREN.get(type(n), ())):
+                stack.append(getattr(n, c))
+
+
+def map_refs(node: Expr, fn: Callable[[StateRef], Expr]) -> Expr:
+    """The tree with every state reference replaced by ``fn(ref)``; other
+    leaves, and subtrees in which ``fn`` replaced nothing, are returned
+    unchanged."""
+    if isinstance(node, StateRef):
+        return fn(node)
+    changed = {}
+    for c in _CHILDREN.get(type(node), ()):
+        child = getattr(node, c)
+        mapped = map_refs(child, fn)
+        if mapped is not child:
+            changed[c] = mapped
+    return replace(node, **changed) if changed else node
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,12 @@ integrator's scope and are rejected up front.
 from __future__ import annotations
 
 import bisect
-import logging
 import math
 from dataclasses import dataclass, field
 
 from . import expr as ex
 from .engine import TaylorSolution, evaluate_solution
 from .reduce import ReducedSystem
-
-logger = logging.getLogger(__name__)
 
 
 class OracleError(Exception):
@@ -153,7 +150,6 @@ def integrate_reference(
                 "progress"
             )
         extrapolations += 1
-        logger.debug("extrapolated lookup at t=%g beyond front %g", s, front)
         t0, h, y0, d0, y1, d1 = data
         return _hermite(t0, h, y0[component], d0[component], y1[component], d1[component], s)
 

@@ -55,6 +55,15 @@ def _parse_number(text: str, line_no: int) -> float:
         raise _fail(f"bad number {text!r}", line_no) from None
 
 
+def _parse_expression(text: str, line_no: int, offset: int, **names) -> ex.Expr:
+    """Parse an expression that starts after ``offset`` characters of file
+    line ``line_no``; an error gives its position in that line."""
+    try:
+        return ex.parse_expression(text, **names)
+    except ex.ParseError as exc:
+        raise ex.ParseError(exc.message, line_no, offset + exc.column) from None
+
+
 def _parse_int(text: str, line_no: int) -> int:
     value = _parse_number(text, line_no)
     if not (math.isfinite(value) and value.is_integer()):
@@ -66,10 +75,10 @@ def parse_problem(text: str, *, name: str = "<string>") -> CauchyProblem:
     """Parse a problem file's contents into a validated problem."""
     order = None
     var_names: list[str] | None = None
-    delay_lines: list[tuple[int, str, str]] = []
-    eq_lines: list[tuple[int, str, str]] = []
-    init_lines: list[tuple[int, str, str]] = []
-    phi_lines: list[tuple[int, str, str]] = []
+    # (line number, name, value, offset of the value in its line)
+    sections: dict[str, list[tuple[int, str, str, int]]] = {
+        "delay": [], "eq": [], "init": [], "phi": []
+    }
     horizon = None
     taylor_order = None
 
@@ -81,6 +90,8 @@ def parse_problem(text: str, *, name: str = "<string>") -> CauchyProblem:
         if not eq:
             raise _fail(f"expected 'key = value', got {line!r}", line_no)
         key = key.strip()
+        after = raw[raw.index("=") + 1 :]
+        offset = len(raw) - len(after.lstrip())
         value = value.strip()
         parts = key.split()
         if not parts:
@@ -93,14 +104,8 @@ def parse_problem(text: str, *, name: str = "<string>") -> CauchyProblem:
             horizon = _parse_number(value, line_no)
         elif parts[0] == "taylor_order" and len(parts) == 1:
             taylor_order = _parse_int(value, line_no)
-        elif parts[0] == "delay" and len(parts) == 2:
-            delay_lines.append((line_no, parts[1], value))
-        elif parts[0] == "eq" and len(parts) == 2:
-            eq_lines.append((line_no, parts[1], value))
-        elif parts[0] == "init" and len(parts) == 2:
-            init_lines.append((line_no, parts[1], value))
-        elif parts[0] == "phi" and len(parts) == 2:
-            phi_lines.append((line_no, parts[1], value))
+        elif parts[0] in sections and len(parts) == 2:
+            sections[parts[0]].append((line_no, parts[1], value, offset))
         else:
             raise _fail(f"unrecognized section {key!r}", line_no)
 
@@ -121,7 +126,7 @@ def parse_problem(text: str, *, name: str = "<string>") -> CauchyProblem:
         raise _fail("duplicate variable names", 1)
 
     delays = []
-    for line_no, delay_id, value in delay_lines:
+    for line_no, delay_id, value, offset in sections["delay"]:
         if not _NAME_RE.match(delay_id) or delay_id in ex.RESERVED:
             raise _fail(f"bad delay name {delay_id!r}", line_no)
         m = _DELAY_LINE_RE.match(value)
@@ -138,14 +143,16 @@ def parse_problem(text: str, *, name: str = "<string>") -> CauchyProblem:
             elif kind == "proportional":
                 law = ProportionalDelay(_parse_number(body, line_no))
             else:
-                law = TimeVaryingDelay(ex.parse_expression(body))
+                law = TimeVaryingDelay(
+                    _parse_expression(body, line_no, offset + m.start("body"))
+                )
         except ProblemError as exc:
             raise ProblemError(f"{name}:{line_no}: {exc}") from None
         delays.append(DelaySpec(id=delay_id, law=law))
     delay_ids = [d.id for d in delays]
 
     equations: dict[str, ex.Expr] = {}
-    for line_no, lhs, value in eq_lines:
+    for line_no, lhs, value, offset in sections["eq"]:
         base = lhs.rstrip("'")
         primes = len(lhs) - len(base)
         if base not in var_names:
@@ -158,15 +165,15 @@ def parse_problem(text: str, *, name: str = "<string>") -> CauchyProblem:
             )
         if base in equations:
             raise _fail(f"duplicate equation for {base!r}", line_no)
-        equations[base] = ex.parse_expression(
-            value, variables=var_names, delays=delay_ids, max_deriv=order
+        equations[base] = _parse_expression(
+            value, line_no, offset, variables=var_names, delays=delay_ids, max_deriv=order
         )
     missing = [v for v in var_names if v not in equations]
     if missing:
         raise ProblemError(f"{name}: missing equation for {', '.join(missing)}")
 
     init: dict[str, tuple[float, ...]] = {}
-    for line_no, var, value in init_lines:
+    for line_no, var, value, _ in sections["init"]:
         if var not in var_names:
             raise _fail(f"initial data for unknown variable {var!r}", line_no)
         if var in init:
@@ -186,12 +193,12 @@ def parse_problem(text: str, *, name: str = "<string>") -> CauchyProblem:
         raise ProblemError(f"{name}: missing initial data for {', '.join(missing)}")
 
     phi: dict[str, ex.Expr] = {}
-    for line_no, var, value in phi_lines:
+    for line_no, var, value, offset in sections["phi"]:
         if var not in var_names:
             raise _fail(f"history for unknown variable {var!r}", line_no)
         if var in phi:
             raise _fail(f"duplicate history for {var!r}", line_no)
-        phi[var] = ex.parse_expression(value)
+        phi[var] = _parse_expression(value, line_no, offset)
 
     needs_history = any(not d.proportional for d in delays)
     if needs_history:

@@ -111,7 +111,9 @@ def substitute_history(
     argument_cache: dict[str, Series] = {}
     leaf_cache: dict[tuple[int, int, str], ex.KnownSeries] = {}
 
-    def leaf(ref: ex.StateRef) -> ex.KnownSeries:
+    def substitute(ref: ex.StateRef) -> ex.Expr:
+        if ref.delay is None or specs[ref.delay].proportional:
+            return ref
         key = (ref.var, ref.deriv, ref.delay)
         if key not in leaf_cache:
             if problem.phi is None:
@@ -133,25 +135,10 @@ def substitute_history(
             )
         return leaf_cache[key]
 
-    def walk(node: ex.Expr) -> ex.Expr:
-        if isinstance(node, ex.StateRef):
-            if node.delay is None or specs[node.delay].proportional:
-                return node
-            return leaf(node)
-        if isinstance(node, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
-            return type(node)(walk(node.left), walk(node.right))
-        if isinstance(node, ex.Neg):
-            return ex.Neg(walk(node.operand))
-        if isinstance(node, ex.Pow):
-            return ex.Pow(walk(node.base), node.exponent)
-        if isinstance(node, ex.Func):
-            return ex.Func(node.fn, walk(node.arg))
-        return node
-
     return ReducedSystem(
         order=n,
         var_names=problem.var_names,
-        equations=tuple(walk(eq) for eq in problem.equations),
+        equations=tuple(ex.map_refs(eq, substitute) for eq in problem.equations),
         delays=tuple(d for d in problem.delays if d.proportional),
         init=problem.init,
         trunc_order=target,

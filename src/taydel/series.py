@@ -8,7 +8,8 @@ surface immediately.
 
 Coefficients are double-precision floats.  Values are immutable after
 construction and every operation is a pure function, so series are safe
-to share between threads.
+to share between threads.  The compositions and the expression lowering
+in ``expr`` run on ``Tape``, the one driver of the recurrence rules.
 """
 
 from __future__ import annotations
@@ -257,14 +258,6 @@ def sincos_term(c, s, co, k: int) -> tuple[float, float]:
 _ELEMENTARY_TERMS = {"exp": exp_term, "ln": ln_term, "reciprocal": reciprocal_term}
 
 
-def elementary_term(tag: str):
-    """The recurrence of ``exp``, ``ln`` or ``reciprocal``."""
-    try:
-        return _ELEMENTARY_TERMS[tag]
-    except KeyError:
-        raise SeriesError(f"unknown elementary function tag {tag!r}") from None
-
-
 class Tape:
     """A straight-line program over per-node coefficient lists, the one
     driver of the rules above.  ``fill(k)`` appends coefficient k to every
@@ -323,7 +316,9 @@ class Tape:
         """f(arg) for ``exp``, ``ln``, ``sin``, ``cos`` or ``reciprocal``."""
         if tag in ("sin", "cos"):
             return self._sincos(arg, tag)
-        return self._recurrence(elementary_term(tag), arg)
+        if tag not in _ELEMENTARY_TERMS:
+            raise SeriesError(f"unknown elementary function tag {tag!r}")
+        return self._recurrence(_ELEMENTARY_TERMS[tag], arg)
 
     def power(self, base: Sequence[float], rho: float) -> Sequence[float]:
         """base**rho.  A whole exponent is a chain of products by binary

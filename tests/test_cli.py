@@ -242,40 +242,49 @@ class TestExitContract:
         assert "error" in err
 
     @pytest.mark.parametrize(
-        "old, new, expected, command",
+        "old, new, expected, command, message",
         [
-            pytest.param("horizon = 1", "horizon = 1\n= 3", 1, "solve", id="missing_key"),
-            pytest.param("order = 1", "order = 1.5", 1, "solve", id="fractional_order"),
-            pytest.param("order = 1", "order = inf", 1, "solve", id="infinite_order"),
+            pytest.param("horizon = 1", "horizon = 1\n= 3", 1, "solve", None, id="missing_key"),
+            pytest.param("order = 1", "order = 1.5", 1, "solve", None, id="fractional_order"),
+            pytest.param("order = 1", "order = inf", 1, "solve", None, id="infinite_order"),
             pytest.param(
-                "taylor_order = 10", "taylor_order = 1.5", 1, "solve", id="fractional_taylor"
+                "taylor_order = 10", "taylor_order = 1.5", 1, "solve", None,
+                id="fractional_taylor",
             ),
             pytest.param(
-                "taylor_order = 10", "taylor_order = inf", 1, "solve", id="infinite_taylor"
+                "taylor_order = 10", "taylor_order = inf", 1, "solve", None,
+                id="infinite_taylor",
             ),
-            pytest.param("init u = [1]", "init u = [inf]", 2, "solve", id="infinite_init"),
-            pytest.param("horizon = 1", "horizon = inf", 2, "compare", id="infinite_horizon"),
+            pytest.param("init u = [1]", "init u = [inf]", 2, "solve", None, id="infinite_init"),
+            pytest.param(
+                "horizon = 1", "horizon = inf", 2, "compare", None, id="infinite_horizon"
+            ),
             pytest.param(
                 "delay half = proportional(1/2)",
                 "delay half = vary(exp(1000*t))\nphi u = 1",
                 2,
                 "solve",
+                None,
                 id="overflowing_lag",
             ),
             pytest.param(
-                "u@half - u", "exp(u)", 2, "compare", id="overflowing_reference"
+                "u@half - u", "exp(u)", 2, "compare", None, id="overflowing_reference"
             ),
-            pytest.param("horizon = 1", "horizon = 1e308", 2, "compare", id="huge_horizon"),
-            pytest.param("u@half - u", "u^1e999", 1, "solve", id="overflowing_exponent"),
-            pytest.param("u@half - u", "1e999*u", 1, "solve", id="overflowing_literal"),
             pytest.param(
-                "u@half - u", "u^(1e300/1e-300)", 1, "solve", id="overflowing_exponent_quotient"
+                "horizon = 1", "horizon = 1e308", 2, "compare", None, id="huge_horizon"
+            ),
+            pytest.param("u@half - u", "u^1e999", 1, "solve", None, id="overflowing_exponent"),
+            pytest.param("u@half - u", "1e999*u", 1, "solve", None, id="overflowing_literal"),
+            pytest.param(
+                "u@half - u", "u^(1e300/1e-300)", 1, "solve", None,
+                id="overflowing_exponent_quotient",
             ),
             pytest.param(
                 "delay half = proportional(1/2)",
                 "delay half = vary(t^1e999 + 1)\nphi u = 1",
                 1,
                 "solve",
+                None,
                 id="overflowing_lag_literal",
             ),
             pytest.param(
@@ -283,18 +292,47 @@ class TestExitContract:
                 "delay half = vary(2 + sin(t*1e300*1e300))\nphi u = 1",
                 2,
                 "solve",
+                None,
                 id="sine_of_infinity",
+            ),
+            pytest.param(
+                "u@half - u",
+                "u + (",
+                1,
+                "solve",
+                "expected a number, 't', a function call or a state reference, "
+                "found 'end of input' (line 4, column 14)",
+                id="unclosed_parenthesis",
+            ),
+            pytest.param(
+                "delay half = proportional(1/2)",
+                "delay half = vary(1 + * t)\nphi u = 1",
+                1,
+                "solve",
+                "expected a number, 't', a function call or a state reference, "
+                "found '*' (line 3, column 23)",
+                id="bad_lag_expression",
+            ),
+            pytest.param(
+                "horizon = 1",
+                "phi u = exp(t\nhorizon = 1",
+                1,
+                "solve",
+                "expected ')', found 'end of input' (line 6, column 14)",
+                id="bad_history_expression",
             ),
         ],
     )
     def test_malformed_file_gets_its_exit_code_and_one_line(
-        self, run, tmp_path, old, new, expected, command
+        self, run, tmp_path, old, new, expected, command, message
     ):
         path = tmp_path / "bad.fde"
         path.write_text(SCALAR.replace(old, new, 1))
         code, out, err = run(command, str(path), *(["--json"] if command == "solve" else []))
         assert (code, out) == (expected, "")
         assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+        if message is not None:
+            assert err == f"error: {message}\n"
 
     def test_sine_of_infinity_names_the_argument(self, run, tmp_path):
         path = tmp_path / "sine.fde"
@@ -361,6 +399,19 @@ class TestExitContract:
         assert subprocess.run(
             [sys.executable, "-m", module], capture_output=True, env=env, timeout=60
         ).returncode == 2  # argparse: a subcommand is required
+
+    def test_cli_import_does_not_load_logging(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        code = "import sys, taydel.cli; print('logging' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 SCALAR = """\

@@ -210,6 +210,13 @@ class TestAnalyze:
         report = analyze(eqs, order=3, num_vars=3, delays={"a1": True, "a2": False})
         assert report.ref_count == sum(len(list(iter_refs(e))) for e in eqs)
 
+    def test_long_sum_is_walked_in_order(self):
+        text = " + ".join(f"u{i % 3 + 1}'@a{i % 2 + 1}" for i in range(3000))
+        refs = list(iter_refs(parse(text)))
+        assert [(r.var, r.delay) for r in refs] == [
+            (i % 3 + 1, f"a{i % 2 + 1}") for i in range(3000)
+        ]
+
     def test_rejects_undelayed_top_order(self):
         with pytest.raises(StructureError):
             analyze((parse("u1'''"),), order=3, num_vars=3, delays={})
