@@ -18,7 +18,6 @@ from .problem import (
     ConstantDelay,
     DelaySpec,
     ProblemError,
-    ProportionalDelay,
     TimeVaryingDelay,
     ValidityInterval,
     compute_validity,

@@ -61,12 +61,13 @@ class TestRhsCoefficient:
     def test_square_term_at_start(self, fixtures_dir):
         reduced = substitute_history(load_problem(fixtures_dir / "example1.fde"))
         solution = solve_reduced(reduced)
-        assert solution.series[0].coeffs[1] * 1 == 1.0
+        assert solution.series[0].coeffs[1] * 1 == 1.0  # k = 0, n = 1: times 1!/0!
         assert all(entry.var != 1 for entry in solution.pivot_log)
 
     def test_product_with_history_constant(self, fixtures_dir):
         reduced = substitute_history(load_problem(fixtures_dir / "example2.fde"))
         solution = solve_reduced(reduced)
+        # k = 0, n = 2: coefficient 2 times 2!/0!
         assert solution.series[1].coeffs[2] * 2 == pytest.approx(2.0, abs=1e-14)
         assert all(entry.var != 2 for entry in solution.pivot_log)
 
