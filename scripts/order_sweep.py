@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Truncation-order sweep of history substitution and the coefficient march.
+
+For the fixtures and the perfbench history family of one seed, times
+``substitute_history`` and ``solve_reduced`` at N = 10, 20, 40, 80, 160
+(the fastest of ``--repeat`` runs each), fits the growth exponent of each
+in N by least squares on log-log axes, and prints one JSON object.  A
+problem whose reduction or march fails at some N records the error text
+for that N and is left out of the fit.
+
+Run from the repository root:  python scripts/order_sweep.py --seed 7
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import platform
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import families  # noqa: E402
+from taydel.engine import solve_reduced  # noqa: E402
+from taydel.problemfile import load_problem, parse_problem  # noqa: E402
+from taydel.reduce import substitute_history  # noqa: E402
+
+ORDERS = (10, 20, 40, 80, 160)
+FIXTURES = ("example1", "example2", "example3", "example3_u1")
+
+
+def fastest(repeat: int, call) -> tuple[float, object]:
+    """Smallest wall time of ``repeat`` calls, in ms, and the last result."""
+    best = math.inf
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3, result
+
+
+def exponent(times: list[float]) -> float | None:
+    """Least-squares slope of log(time) against log(N)."""
+    xs = [math.log(n) for n in ORDERS]
+    ys = [math.log(max(t, 1e-6)) for t in times]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    spread = sum((x - mx) ** 2 for x in xs)
+    return round(sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / spread, 3)
+
+
+def sweep(problem, repeat: int) -> dict:
+    row: dict = {"substitute_ms": [], "solve_ms": []}
+    for order in ORDERS:
+        try:
+            ms, reduced = fastest(repeat, lambda: substitute_history(problem, trunc_order=order))
+            row["substitute_ms"].append(round(ms, 3))
+            ms, _ = fastest(repeat, lambda: solve_reduced(reduced))
+            row["solve_ms"].append(round(ms, 3))
+        except Exception as exc:  # a failing problem is reported, not fatal
+            row["error"] = f"N={order}: {type(exc).__name__}: {exc}"
+            return row
+    row["substitute_exponent"] = exponent(row["substitute_ms"])
+    row["solve_exponent"] = exponent(row["solve_ms"])
+    return row
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=7, help="history family seed")
+    parser.add_argument("--repeat", type=int, default=3, help="runs per timing")
+    args = parser.parse_args(argv)
+    problems = {name: load_problem(ROOT / "fixtures" / f"{name}.fde") for name in FIXTURES}
+    for generated in families.history_family(args.seed):
+        problems[generated.name] = parse_problem(generated.text, name=generated.name)
+    result = {
+        "orders": list(ORDERS),
+        "seed": args.seed,
+        "repeat": args.repeat,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "problems": {name: sweep(problem, args.repeat) for name, problem in problems.items()},
+    }
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

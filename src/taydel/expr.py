@@ -489,6 +489,17 @@ def iter_refs(node: Expr) -> Iterator[StateRef]:
                 stack.append(getattr(n, c))
 
 
+def depth(node: Expr) -> int:
+    """Levels of the tree, a lone leaf being one; an explicit stack, like
+    ``iter_refs``."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        n, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((getattr(n, c), level + 1) for c in _CHILDREN.get(type(n), ()))
+    return deepest
+
+
 def map_refs(node: Expr, fn: Callable[[StateRef], Expr]) -> Expr:
     """The tree with every state reference replaced by ``fn(ref)``; other
     leaves, and subtrees in which ``fn`` replaced nothing, are returned

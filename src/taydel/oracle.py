@@ -21,6 +21,13 @@ from .engine import TaylorSolution, evaluate_solution
 from .reduce import ReducedSystem
 
 
+# The most RK4 steps one reference integration may take, refused before it
+# starts: a hundred times the steps of ``taydel compare``'s default
+# ``--h 1e-3`` on [0, 1], and a few seconds and tens of megabytes of
+# trajectory for a scalar equation.
+MAX_REFERENCE_STEPS = 100_000
+
+
 class OracleError(Exception):
     """Integration failure (domain error in the right-hand side, lookup
     ahead of the computed history)."""
@@ -105,6 +112,12 @@ def integrate_reference(
         )
     if not math.isfinite(horizon / step_size):
         raise OracleError(f"step size {step_size!r} cuts [0, {horizon:g}] into too many steps")
+    steps = max(1, math.ceil(round(horizon / step_size, 9)))
+    if steps > MAX_REFERENCE_STEPS:
+        raise OracleError(
+            f"step size {step_size!r} cuts [0, {horizon:g}] into {steps} steps, "
+            f"more than the budget of {MAX_REFERENCE_STEPS}"
+        )
     check_supported(reduced)
     n = reduced.order
     p = reduced.num_vars
@@ -186,7 +199,6 @@ def integrate_reference(
             for y, a, b, c, d in zip(y0, k1, k2, k3, k4)
         )
 
-    steps = max(1, math.ceil(round(horizon / step_size, 9)))
     for i in range(steps):
         t0 = i * step_size
         h = min(step_size, horizon - t0)

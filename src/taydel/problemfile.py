@@ -35,6 +35,11 @@ from .problem import (
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
 _DELAY_LINE_RE = re.compile(r"(?P<kind>constant|proportional|vary)\((?P<body>.*)\)$")
+# Bounds that keep the recursive walkers inside the interpreter's recursion
+# limit: the parser spends six frames on each open parenthesis, and the
+# printer two on each level of the tree (the other walkers one).
+MAX_PARENTHESES = 100
+MAX_EXPRESSION_DEPTH = 250
 
 
 def _fail(message: str, line_no: int) -> ex.ParseError:
@@ -57,11 +62,29 @@ def _parse_number(text: str, line_no: int) -> float:
 
 def _parse_expression(text: str, line_no: int, offset: int, **names) -> ex.Expr:
     """Parse an expression that starts after ``offset`` characters of file
-    line ``line_no``; an error gives its position in that line."""
+    line ``line_no``; an error gives its position in that line.  Sums are
+    not rebalanced to fit the depth bound, since that would change the
+    order of the float additions.  Each bound is checked only on text that
+    could break it: every level of the tree takes at least one character."""
+    if text.count("(") > MAX_PARENTHESES:
+        nesting = 0
+        for column, char in enumerate(text, offset + 1):
+            nesting += (char == "(") - (char == ")")
+            if nesting > MAX_PARENTHESES:
+                raise ex.ParseError(
+                    f"parentheses nest deeper than {MAX_PARENTHESES} levels", line_no, column
+                )
     try:
-        return ex.parse_expression(text, **names)
+        node = ex.parse_expression(text, **names)
     except ex.ParseError as exc:
         raise ex.ParseError(exc.message, line_no, offset + exc.column) from None
+    if len(text) > MAX_EXPRESSION_DEPTH and ex.depth(node) > MAX_EXPRESSION_DEPTH:
+        raise ex.ParseError(
+            f"expression is more than {MAX_EXPRESSION_DEPTH} levels deep",
+            line_no,
+            offset + 1,
+        )
+    return node
 
 
 def _parse_int(text: str, line_no: int) -> int:

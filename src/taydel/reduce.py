@@ -22,7 +22,7 @@ from .problem import (
     ValidityInterval,
     compute_validity,
 )
-from .series import Series, compose_polynomial, monomial
+from .series import PowerTable, Series, monomial
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,23 @@ def delay_argument_series(spec: DelaySpec, order: int) -> Series:
     )
 
 
-def history_leaf(phi: ex.Expr, deriv: int, argument: Series, order: int) -> Series:
+def argument_powers(argument: Series, order: int) -> PowerTable | None:
+    """Power table of the argument series minus its value at 0, through
+    ``order``, which every history leaf on that delay composes with; None
+    when that inner series is exactly ``t``, as for every constant lag."""
+    tail = argument.truncated(order).coeffs[1:]  # subtracting a0 leaves these as they are
+    if tail == (1.0,) + (0.0,) * (order - 1):
+        return None
+    return PowerTable(Series((0.0,) + tail), order + 1)
+
+
+def history_leaf(
+    phi: ex.Expr,
+    deriv: int,
+    argument: Series,
+    order: int,
+    powers: PowerTable | None = None,
+) -> Series:
     """Series of the deriv-th derivative of the history function evaluated
     along the delayed argument.
 
@@ -73,7 +89,9 @@ def history_leaf(phi: ex.Expr, deriv: int, argument: Series, order: int) -> Seri
     derivative is taken on that expansion and ``s`` is substituted by the
     argument series minus ``a0``, whose zero constant term makes the
     polynomial composition exact through the truncation order.  This
-    avoids differentiating user expressions symbolically.
+    avoids differentiating user expressions symbolically.  ``powers`` is
+    the argument's table from ``argument_powers``, shared by the leaves on
+    one delay; it is built here when not given.
 
     When the inner series is exactly ``t``, as for every constant lag, the
     composition reduces to ``0.0 + c`` per coefficient: every other term it
@@ -81,14 +99,12 @@ def history_leaf(phi: ex.Expr, deriv: int, argument: Series, order: int) -> Seri
     ``0.0`` as its accumulation does.
     """
     a0 = argument.coeffs[0]
-    stage_order = order + deriv
-    about = Series((a0, 1.0) + (0.0,) * (stage_order - 1))
-    expanded = ex.eval_series(phi, about)
-    shifted = expanded.differentiate(deriv)
-    inner = argument.truncated(order) - Series.constant(a0, order)
-    if inner.coeffs[1:] == (1.0,) + (0.0,) * (order - 1):
+    about = Series((a0, 1.0) + (0.0,) * (order + deriv - 1))
+    shifted = ex.eval_series(phi, about).differentiate(deriv)
+    powers = powers or argument_powers(argument, order)
+    if powers is None:
         return Series(tuple(0.0 + c for c in shifted.coeffs))
-    return compose_polynomial(shifted.coeffs, inner)
+    return powers.compose(shifted.coeffs)
 
 
 def substitute_history(
@@ -107,7 +123,8 @@ def substitute_history(
     leaf_order = target + 2 * n + 2
     validity = validity or compute_validity(problem)
     specs = problem.delay_map()
-    argument_cache: dict[str, Series] = {}
+    # delay id -> (argument series, its power table or None)
+    argument_cache: dict[str, tuple[Series, PowerTable | None]] = {}
     leaf_cache: dict[tuple[int, int, str], ex.KnownSeries] = {}
 
     def substitute(ref: ex.StateRef) -> ex.Expr:
@@ -121,15 +138,14 @@ def substitute_history(
                     f"{ex.pretty(ref, problem.var_names)}"
                 )
             if ref.delay not in argument_cache:
-                argument_cache[ref.delay] = delay_argument_series(
-                    specs[ref.delay], leaf_order
+                argument = delay_argument_series(specs[ref.delay], leaf_order)
+                argument_cache[ref.delay] = (
+                    argument, argument_powers(argument, leaf_order)
                 )
+            argument, powers = argument_cache[ref.delay]
             leaf_cache[key] = ex.KnownSeries(
                 history_leaf(
-                    problem.phi[ref.var - 1],
-                    ref.deriv,
-                    argument_cache[ref.delay],
-                    leaf_order,
+                    problem.phi[ref.var - 1], ref.deriv, argument, leaf_order, powers
                 )
             )
         return leaf_cache[key]

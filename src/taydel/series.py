@@ -386,25 +386,69 @@ def compose_elementary(tag: str, u: Series, exponent: float | None = None) -> Se
     return Series(tuple(out))
 
 
+class PowerTable:
+    """The powers inner**0 .. inner**(count-1) of a series with a zero
+    constant term, on a tape of their own, for composing any number of
+    polynomials with one inner series.
+
+    Power i is exactly 0 below index i, so round k of power i multiplies
+    power i-1 at indices i-1..k-1 by ``inner`` at k-i+1..1 and takes no
+    product with a structural zero: each skipped product has an exact zero
+    factor, and a sum that starts from zero never holds -0.0, so the
+    coefficients equal those of full Cauchy products bit for bit.  Rounds
+    run only when some composition first asks for them, so an overflowing
+    power is reported at the index a single composition would reach it.
+    """
+
+    __slots__ = ("_tape", "_powers", "_columns")
+
+    def __init__(self, inner: Series, count: int):
+        if inner.coeffs[0] != 0.0:
+            raise SeriesError(
+                "polynomial composition requires a zero constant term in the "
+                f"inner series, got {inner.coeffs[0]!r}"
+            )
+        self._tape = Tape(len(inner.coeffs))
+        self._powers = [self._tape.constant(1.0)]
+        for i in range(1, count):
+            self._powers.append(
+                self._tape.emit(partial(_next_power, self._powers[-1], inner.coeffs, i))
+            )
+        # column k holds powers 0..k at index k; higher powers are 0 there
+        self._columns: list[tuple[float, ...]] = []
+
+    def compose(self, outer: Sequence[float]) -> Series:
+        """Series of P(inner(t)) for the polynomial with coefficients
+        ``outer``; coefficient k adds outer[i] * inner**i at k for
+        i = 0..k in increasing i."""
+        isfinite = math.isfinite
+        out = []
+        for k in range(self._tape.rounds):
+            if k == len(self._columns):
+                self._tape.fill(k)
+                self._columns.append(tuple(p[k] for p in self._powers[: k + 1]))
+            value = reduce(add, map(mul, outer, self._columns[k]), 0.0)
+            if not isfinite(value):
+                raise non_finite_coefficient(value, k)
+            out.append(value)
+        return Series(tuple(out))
+
+
+def _next_power(previous: Sequence[float], inner: Sequence[float], i: int, k: int) -> float:
+    """Coefficient k of previous * inner, where previous is power i-1."""
+    if k < i:
+        return 0.0
+    return sum(map(mul, previous[i - 1 : k], inner[k - i + 1 : 0 : -1]))
+
+
 def compose_polynomial(outer: Iterable[float], inner: Series) -> Series:
     """Series of P(inner(t)) for a polynomial P given by its coefficients.
 
     ``inner`` must have a zero constant term; the composition is then exact
-    through the truncation order.  Powers of ``inner`` are accumulated
-    bottom-up (increasing degree) so that low-index output coefficients do
-    not depend on the truncation order, which keeps solver output prefixes
-    bit-identical across different truncation orders.
+    through the truncation order.  Coefficient k sums its terms in
+    increasing degree, so low-index output coefficients do not depend on
+    the truncation order, which keeps solver output prefixes bit-identical
+    across different truncation orders.
     """
-    if inner.coeffs[0] != 0.0:
-        raise SeriesError(
-            "polynomial composition requires a zero constant term in the "
-            f"inner series, got {inner.coeffs[0]!r}"
-        )
     outer = tuple(outer)
-    tape = Tape(len(inner.coeffs))
-    powers = [tape.constant(1.0)]
-    for _ in range(min(len(outer), tape.rounds) - 1):
-        powers.append(tape.product(powers[-1], inner.coeffs))
-    out = tape.emit(lambda k: reduce(add, map(mul, outer, [p[k] for p in powers]), 0.0))
-    tape.run()
-    return Series(tuple(out))
+    return PowerTable(inner, min(len(outer), len(inner.coeffs))).compose(outer)

@@ -321,6 +321,22 @@ class TestExitContract:
                 "expected ')', found 'end of input' (line 6, column 14)",
                 id="bad_history_expression",
             ),
+            pytest.param(
+                "u@half - u",
+                " + ".join(["u@half"] * 1200),
+                1,
+                "solve",
+                "expression is more than 250 levels deep (line 4, column 9)",
+                id="long_sum",
+            ),
+            pytest.param(
+                "u@half - u",
+                "(" * 150 + "u@half" + ")" * 150,
+                1,
+                "solve",
+                "parentheses nest deeper than 100 levels (line 4, column 109)",
+                id="deep_parentheses",
+            ),
         ],
     )
     def test_malformed_file_gets_its_exit_code_and_one_line(
@@ -399,6 +415,24 @@ class TestExitContract:
         assert subprocess.run(
             [sys.executable, "-m", module], capture_output=True, env=env, timeout=60
         ).returncode == 2  # argparse: a subcommand is required
+
+    def test_reference_step_budget_is_refused_before_integrating(self, tmp_path):
+        path = tmp_path / "long.fde"
+        path.write_text(SCALAR.replace("horizon = 1", "horizon = 1e6"))
+        src = Path(__file__).resolve().parent.parent / "src"
+        pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "taydel", "compare", str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "error: step size 0.001 cuts [0, 1e+06] into 1000000000 steps, "
+            "more than the budget of 100000\n"
+        )
 
     def test_cli_import_does_not_load_logging(self):
         src = Path(__file__).resolve().parent.parent / "src"

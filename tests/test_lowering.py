@@ -308,3 +308,76 @@ def test_composition_errors_keep_their_text(call, error, message):
     with pytest.raises(error) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+# history leaves that share one time-varying delay ---------------------------------
+#
+# Digests and error texts recorded while every leaf still composed its own
+# powers of the inner series, before the leaves on one delay shared a
+# power table.
+
+SHARED_LAG = """\
+order = 2
+vars = u1, u2
+delay one = constant(1)
+delay lag = vary({lag})
+delay half = proportional(1/2)
+eq u1'' = 2*u1' + u2@one*u1@half + -1*u1@lag*u2'@lag
+eq u2'' = -u2 + u1''@lag*u2'@half + 2*u2''@lag*u1@one + u1@half*u2@half
+phi u1 = 2*exp(-t) + -1*sin(t)
+phi u2 = cos(t) + -2*t^2
+init u1 = [1, -3]
+init u2 = [1, 0]
+horizon = 1
+taylor_order = 10
+"""
+SHARED_LAGS = ("exp(-t)/2", "1/2 + t^2/4", "1 + t/2")
+SHARED_LAG_DIGESTS = {
+    17: "63195e4b525ef21a9ea568d12085fcb5c5ae08e580919fb7fcf4a6cbe579037f",
+    40: "636d1798847f71b9d76e33d716f0da023da05e57ba36c42e130a48469dbc4b1f",
+    80: "bc8e6162075dc412f0c1eb6bcbb75a947559fdbfab57241b00e92b5223fafe00",
+}
+
+
+@pytest.mark.parametrize("order", sorted(SHARED_LAG_DIGESTS))
+def test_leaves_on_one_varying_delay_match_recorded_digest(order):
+    """Four leaves per system reference the time-varying delay ``lag``."""
+    lines = []
+    for lag in SHARED_LAGS:
+        reduced = substitute_history(parse_problem(SHARED_LAG.format(lag=lag)), trunc_order=order)
+        lines += [
+            digits(leaf.series.coeffs)
+            for equation in reduced.equations
+            for leaf in known_leaves(equation)
+        ]
+    assert len(lines) == 18
+    assert sha256("\n".join(lines)) == SHARED_LAG_DIGESTS[order]
+
+
+OVERFLOWING_LEAF = """\
+order = 1
+vars = u
+delay lag = vary({lag})
+eq u' = u@lag
+phi u = {phi}
+init u = [{init}]
+horizon = 1
+taylor_order = 10
+"""
+
+
+@pytest.mark.parametrize(
+    "lag, phi, init, message",
+    [
+        # the square of the inner series t - 1e160*t^2 overflows at index 4
+        ("1/2 + 1e160*t^2", "exp(t)", "1", "non-finite coefficient inf at index 4"),
+        # the leaf overflows at index 1, before the 16th power of the inner
+        # series (1 - 1e20)*t does at index 16
+        ("1/2 + 1e20*t", "1e300*exp(t)", "1e300", "non-finite coefficient -inf at index 1"),
+    ],
+)
+def test_overflowing_history_leaf_keeps_its_first_index(lag, phi, init, message):
+    problem = parse_problem(OVERFLOWING_LEAF.format(lag=lag, phi=phi, init=init))
+    with pytest.raises(SeriesError) as excinfo:
+        substitute_history(problem, trunc_order=20)
+    assert str(excinfo.value) == message

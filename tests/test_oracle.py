@@ -6,6 +6,7 @@ import pytest
 
 from taydel.engine import solve_reduced
 from taydel.oracle import (
+    MAX_REFERENCE_STEPS,
     OracleError,
     OracleRestriction,
     check_supported,
@@ -232,3 +233,10 @@ class TestPinnedOutput:
         with pytest.raises(OracleError) as excinfo:
             integrate_reference(plain_reduced(rhs), step, 1.0)
         assert (type(excinfo.value), str(excinfo.value)) == (OracleError, message)
+
+
+def test_step_budget_covers_the_default_step_on_the_unit_interval():
+    reduced = plain_reduced("u1")
+    with pytest.raises(OracleError, match=r"into 100001 steps, more than the budget of 100000$"):
+        integrate_reference(reduced, 1.0 / (MAX_REFERENCE_STEPS + 1), 1.0)
+    assert MAX_REFERENCE_STEPS >= 100 * 1000  # taydel compare's default --h 1e-3 on [0, 1]
