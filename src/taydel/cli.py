@@ -357,6 +357,12 @@ def cmd_compare(args) -> int:
             f"[0, {reduced.validity.upper:g}]"
         )
         return EXIT_VALIDATION
+    steps = oracle.reference_steps(args.step, b)
+    if steps > oracle.MAX_REFERENCE_STEPS:
+        raise UsageError(
+            f"--h {args.step!r} cuts [0, {b:g}] into {steps} reference steps, more than "
+            f"the budget of {oracle.MAX_REFERENCE_STEPS}; use a larger --h"
+        )
     solution = engine.solve_reduced(reduced)
     estimate = engine.estimate_error(solution, b)
     trajectory = oracle.integrate_reference(reduced, args.step, b)

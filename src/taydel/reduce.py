@@ -64,23 +64,19 @@ def delay_argument_series(spec: DelaySpec, order: int) -> Series:
     )
 
 
-def argument_powers(argument: Series, order: int) -> PowerTable | None:
-    """Power table of the argument series minus its value at 0, through
-    ``order``, which every history leaf on that delay composes with; None
-    when that inner series is exactly ``t``, as for every constant lag."""
+def _expansion(argument: Series, order: int) -> tuple[float, PowerTable | None]:
+    """The argument's value a0 at 0, and the power table through ``order``
+    of the argument minus a0, which every history leaf on that delay
+    composes with; no table when that inner series is exactly ``t``, as
+    for every constant lag."""
+    a0 = argument.coeffs[0]
     tail = argument.truncated(order).coeffs[1:]  # subtracting a0 leaves these as they are
     if tail == (1.0,) + (0.0,) * (order - 1):
-        return None
-    return PowerTable(Series((0.0,) + tail), order + 1)
+        return a0, None
+    return a0, PowerTable(Series((0.0,) + tail), order + 1)
 
 
-def history_leaf(
-    phi: ex.Expr,
-    deriv: int,
-    argument: Series,
-    order: int,
-    powers: PowerTable | None = None,
-) -> Series:
+def history_leaf(phi: ex.Expr, deriv: int, argument: Series, order: int) -> Series:
     """Series of the deriv-th derivative of the history function evaluated
     along the delayed argument.
 
@@ -89,19 +85,23 @@ def history_leaf(
     derivative is taken on that expansion and ``s`` is substituted by the
     argument series minus ``a0``, whose zero constant term makes the
     polynomial composition exact through the truncation order.  This
-    avoids differentiating user expressions symbolically.  ``powers`` is
-    the argument's table from ``argument_powers``, shared by the leaves on
-    one delay; it is built here when not given.
+    avoids differentiating user expressions symbolically.
 
     When the inner series is exactly ``t``, as for every constant lag, the
     composition reduces to ``0.0 + c`` per coefficient: every other term it
     adds is a signed zero, and the leading ``0.0 +`` turns ``-0.0`` into
     ``0.0`` as its accumulation does.
     """
-    a0 = argument.coeffs[0]
+    return _leaf(phi, deriv, order, *_expansion(argument, order))
+
+
+def _leaf(
+    phi: ex.Expr, deriv: int, order: int, a0: float, powers: PowerTable | None
+) -> Series:
+    """``history_leaf`` from the argument's ``_expansion``, which the
+    leaves on one delay share."""
     about = Series((a0, 1.0) + (0.0,) * (order + deriv - 1))
     shifted = ex.eval_series(phi, about).differentiate(deriv)
-    powers = powers or argument_powers(argument, order)
     if powers is None:
         return Series(tuple(0.0 + c for c in shifted.coeffs))
     return powers.compose(shifted.coeffs)
@@ -123,8 +123,8 @@ def substitute_history(
     leaf_order = target + 2 * n + 2
     validity = validity or compute_validity(problem)
     specs = problem.delay_map()
-    # delay id -> (argument series, its power table or None)
-    argument_cache: dict[str, tuple[Series, PowerTable | None]] = {}
+    # delay id -> _expansion of its argument
+    expansions: dict[str, tuple[float, PowerTable | None]] = {}
     leaf_cache: dict[tuple[int, int, str], ex.KnownSeries] = {}
 
     def substitute(ref: ex.StateRef) -> ex.Expr:
@@ -137,16 +137,11 @@ def substitute_history(
                     "history function required to substitute "
                     f"{ex.pretty(ref, problem.var_names)}"
                 )
-            if ref.delay not in argument_cache:
+            if ref.delay not in expansions:
                 argument = delay_argument_series(specs[ref.delay], leaf_order)
-                argument_cache[ref.delay] = (
-                    argument, argument_powers(argument, leaf_order)
-                )
-            argument, powers = argument_cache[ref.delay]
+                expansions[ref.delay] = _expansion(argument, leaf_order)
             leaf_cache[key] = ex.KnownSeries(
-                history_leaf(
-                    problem.phi[ref.var - 1], ref.deriv, argument, leaf_order, powers
-                )
+                _leaf(problem.phi[ref.var - 1], ref.deriv, leaf_order, *expansions[ref.delay])
             )
         return leaf_cache[key]
 

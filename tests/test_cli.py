@@ -430,9 +430,20 @@ class TestExitContract:
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (
-            "error: step size 0.001 cuts [0, 1e+06] into 1000000000 steps, "
-            "more than the budget of 100000\n"
+            "error: --h 0.001 cuts [0, 1e+06] into 1000000000 reference steps, "
+            "more than the budget of 100000; use a larger --h\n"
         )
+
+    def test_reference_step_budget_is_checked_before_solving(self, run, tmp_path, monkeypatch):
+        def refuse(reduced):
+            raise AssertionError("solved a comparison whose reference is over budget")
+
+        monkeypatch.setattr("taydel.engine.solve_reduced", refuse)
+        path = tmp_path / "long.fde"
+        path.write_text(SCALAR.replace("horizon = 1", "horizon = 101"))
+        code, out, err = run("compare", str(path), "--interval", "0,100.001")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --h 0.001 cuts [0, 100.001] into 100001 reference steps")
 
     def test_cli_import_does_not_load_logging(self):
         src = Path(__file__).resolve().parent.parent / "src"
