@@ -6,6 +6,8 @@ per variable, the value and derivatives up to order n-1.  Proportional
 lookups u^(d)(q*t) with d <= n-1 are served from the dense trajectory
 already computed (they always point backwards since q < 1), so the
 integrator needs no knowledge of the recurrence solver it validates.
+Each right-hand-side evaluation computes them once per (ratio, component),
+and stages at the same time share them.
 Top-order references under a proportional delay are outside this
 integrator's scope and are rejected up front.
 """
@@ -62,16 +64,13 @@ class DenseTrajectory:
         return len(self.var_names)
 
 
-def _hermite(t0, h, y0, d0, y1, d1, t):
+def _hermite_weights(t0, h, t):
+    """Weights a, b, c, d of the cubic-Hermite interpolant on [t0, t0 + h]
+    at t: the value is a*y0 + b*d0 + c*y1 + d*d1."""
     s = (t - t0) / h
     s2 = s * s
     s3 = s2 * s
-    return (
-        (2 * s3 - 3 * s2 + 1) * y0
-        + (s3 - 2 * s2 + s) * h * d0
-        + (-2 * s3 + 3 * s2) * y1
-        + (s3 - s2) * h * d1
-    )
+    return 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h, -2 * s3 + 3 * s2, (s3 - s2) * h
 
 
 def check_supported(reduced: ReducedSystem) -> None:
@@ -140,51 +139,73 @@ def integrate_reference(
     # Hermite data of the step in progress, for lookups beyond the front:
     # (t0, h, y0, d0, y1, d1) or None
     inflight: list[tuple] = [None]
-
-    def lookup(component: int, s: float, stage_limit: float):
-        nonlocal extrapolations
-        if s > stage_limit + 1e-9 * max(1.0, stage_limit):
-            raise OracleError(
-                f"lookup at t = {s:g} is ahead of the computed history "
-                f"(front {stage_limit:g})"
-            )
-        front = times[-1]
-        if s <= front:
-            i = bisect.bisect_right(times, s) - 1
-            if i >= len(times) - 1:
-                return states[-1][component]
-            t0, t1 = times[i], times[i + 1]
-            return _hermite(
-                t0,
-                t1 - t0,
-                states[i][component],
-                derivs[i][component],
-                states[i + 1][component],
-                derivs[i + 1][component],
-                s,
-            )
-        data = inflight[0]
-        if data is None:
-            raise OracleError(
-                f"lookup at t = {s:g} beyond the front with no step in "
-                "progress"
-            )
-        extrapolations += 1
-        t0, h, y0, d0, y1, d1 = data
-        return _hermite(t0, h, y0[component], d0[component], y1[component], d1[component], s)
+    # one slot per distinct proportional (ratio, component), grouped by
+    # ratio; uses[ratio] counts the references that read its slots
+    slots: dict[tuple[float, int], int] = {}
+    groups: dict[float, list[tuple[int, int]]] = {}
+    uses: dict[float, int] = {}
 
     def leaf(ref: ex.StateRef):
-        # the closures read env = (state vector, stage limit)
+        # the closures read env = (state vector, delayed values)
         component = (ref.var - 1) * n + ref.deriv
         if ref.delay is None:
             return lambda t, env: env[0][component]
         ratio = specs[ref.delay].law.ratio
-        return lambda t, env: lookup(component, ratio * t, env[1])
+        slot = slots.get((ratio, component))
+        if slot is None:
+            slot = slots[ratio, component] = len(slots)
+            groups.setdefault(ratio, []).append((slot, component))
+        uses[ratio] = uses.get(ratio, 0) + 1
+        return lambda t, env: env[1][slot]
 
     lowered = [ex.compile_numeric(equation, leaf) for equation in reduced.equations]
+    # the delayed values depend on (t, stage limit, step in progress) only,
+    # which RK4's k2 and k3, and k4 and the end-of-step slope, share; a
+    # reuse still counts the extrapolations the values took
+    last_key, last_values, last_count = None, [], 0
 
-    def rhs(t: float, y: tuple[float, ...], stage_limit: float) -> tuple[float, ...]:
-        env = (y, stage_limit)
+    def delayed(t: float, stage_limit: float) -> list[float]:
+        nonlocal extrapolations, last_key, last_values, last_count
+        data = inflight[0]
+        if (t, stage_limit, data) == last_key:
+            extrapolations += last_count
+            return last_values
+        values = [0.0] * len(slots)
+        count = 0
+        bound = stage_limit + 1e-9 * max(1.0, stage_limit)
+        front = times[-1]
+        for ratio, members in groups.items():
+            s = ratio * t
+            if s > bound:
+                raise OracleError(
+                    f"lookup at t = {s:g} is ahead of the computed history "
+                    f"(front {stage_limit:g})"
+                )
+            if s <= front:
+                i = bisect.bisect_right(times, s) - 1
+                if i >= len(times) - 1:
+                    for slot, component in members:
+                        values[slot] = states[-1][component]
+                    continue
+                t0, h = times[i], times[i + 1] - times[i]
+                y0, d0, y1, d1 = states[i], derivs[i], states[i + 1], derivs[i + 1]
+            elif data is None:
+                raise OracleError(
+                    f"lookup at t = {s:g} beyond the front with no step in "
+                    "progress"
+                )
+            else:
+                count += uses[ratio]
+                t0, h, y0, d0, y1, d1 = data
+            a, b, c, d = _hermite_weights(t0, h, s)
+            for slot, k in members:
+                values[slot] = a * y0[k] + b * d0[k] + c * y1[k] + d * d1[k]
+        last_key, last_values, last_count = (t, stage_limit, data), values, count
+        extrapolations += count
+        return values
+
+    def rhs(t: float, y, stage_limit: float) -> tuple[float, ...]:
+        env = (y, delayed(t, stage_limit))
         out = [0.0] * dim
         for j, equation in enumerate(lowered):
             base = j * n
@@ -198,13 +219,14 @@ def integrate_reference(
 
     def rk4_step(t0: float, y0: tuple[float, ...], h: float, k1):
         limit = t0 + h
-        k2 = rhs(t0 + h / 2, tuple(y + h / 2 * k for y, k in zip(y0, k1)), limit)
-        k3 = rhs(t0 + h / 2, tuple(y + h / 2 * k for y, k in zip(y0, k2)), limit)
-        k4 = rhs(t0 + h, tuple(y + h * k for y, k in zip(y0, k3)), limit)
-        return tuple(
-            y + h / 6 * (a + 2 * b + 2 * c + d)
+        half, sixth = h / 2, h / 6
+        k2 = rhs(t0 + half, [y + half * k for y, k in zip(y0, k1)], limit)
+        k3 = rhs(t0 + half, [y + half * k for y, k in zip(y0, k2)], limit)
+        k4 = rhs(limit, [y + h * k for y, k in zip(y0, k3)], limit)
+        return tuple([
+            y + sixth * (a + 2 * b + 2 * c + d)
             for y, a, b, c, d in zip(y0, k1, k2, k3, k4)
-        )
+        ])
 
     for i in range(steps):
         t0 = i * step_size
@@ -268,23 +290,12 @@ def sample(traj: DenseTrajectory, t: float, deriv: int = 0) -> tuple[float, ...]
     i = bisect.bisect_right(times, t) - 1
     if i >= len(times) - 1:
         i = len(times) - 2
-    t0, t1 = times[i], times[i + 1]
-    out = []
-    n = traj.order
-    for j in range(traj.num_vars):
-        component = j * n + deriv
-        out.append(
-            _hermite(
-                t0,
-                t1 - t0,
-                traj.states[i][component],
-                traj.derivs[i][component],
-                traj.states[i + 1][component],
-                traj.derivs[i + 1][component],
-                t,
-            )
-        )
-    return tuple(out)
+    a, b, c, d = _hermite_weights(times[i], times[i + 1] - times[i], t)
+    y0, d0, y1, d1 = traj.states[i], traj.derivs[i], traj.states[i + 1], traj.derivs[i + 1]
+    return tuple(
+        a * y0[k] + b * d0[k] + c * y1[k] + d * d1[k]
+        for k in range(deriv, traj.num_vars * traj.order, traj.order)
+    )
 
 
 def compare(

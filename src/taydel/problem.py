@@ -188,16 +188,13 @@ def _lag_function(law: TimeVaryingDelay):
     return value
 
 
-def _first_positive_root(g, horizon: float, delay_id: str) -> float | None:
-    """Smallest t in (0, horizon] with g(t) > 0, located by a sign scan and
-    bisection.  None when g stays nonpositive on the whole horizon."""
-    previous = 0.0
-    g_prev = g(previous)
-    for i in range(1, SCAN_POINTS + 1):
-        current = horizon * i / SCAN_POINTS
-        g_cur = g(current)
-        if g_cur > 0.0:
-            lo, hi = previous, current
+def _first_positive_root(g, grid, scanned, delay_id: str) -> float | None:
+    """Smallest t in (0, grid[-1]] with g(t) > 0, located by a sign scan of
+    the values ``scanned`` of g on ``grid`` and bisection.  None when g
+    stays nonpositive on the whole grid."""
+    for i in range(1, len(grid)):
+        if scanned[i] > 0.0:
+            lo, hi = grid[i - 1], grid[i]
             for _ in range(BISECTION_ITERATIONS):
                 mid = 0.5 * (lo + hi)
                 if g(mid) > 0.0:
@@ -211,7 +208,6 @@ def _first_positive_root(g, horizon: float, delay_id: str) -> float | None:
                     f"|residual| = {abs(g(root)):.3g}"
                 )
             return root
-        previous, g_prev = current, g_cur
     return None
 
 
@@ -249,8 +245,9 @@ def compute_validity(problem: CauchyProblem) -> ValidityInterval:
                     raise ProblemError(
                         f"delay {spec.id!r}: lag is negative at t = 0"
                     )
-            t_star = min(t_star, min(t - value for t, value in zip(grid, samples)))
-            root = _first_positive_root(lambda t: t - lag_at(t), horizon, spec.id)
+            gaps = [t - value for t, value in zip(grid, samples)]
+            t_star = min(t_star, min(gaps))
+            root = _first_positive_root(lambda t: t - lag_at(t), grid, gaps, spec.id)
             if root is None:
                 notes.append(
                     f"delay {spec.id!r} stays in the history over the whole "

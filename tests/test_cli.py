@@ -494,9 +494,20 @@ COMMANDS = (
 def mutated_fixture(draw) -> str:
     text = draw(st.sampled_from(FIXTURE_TEXTS))
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(("insert", "delete", "shuffle")))
+        kind = draw(st.sampled_from(("insert", "delete", "shuffle", "long sum", "horizon")))
         if kind == "shuffle":
             text = "\n".join(draw(st.permutations(text.splitlines())))
+            continue
+        if kind == "horizon":
+            # the last horizon line wins: a huge one that --interval bounds
+            text += "\nhorizon = 1e6\n"
+            continue
+        if kind == "long sum":
+            # past the parser's bound of 250 tree levels when the line is an eq
+            lines = text.splitlines() or [""]
+            row = draw(st.integers(0, len(lines) - 1))
+            lines[row] += " + u1" * draw(st.integers(251, 300))
+            text = "\n".join(lines)
             continue
         at = draw(st.integers(0, len(text)))
         if kind == "insert":

@@ -181,6 +181,45 @@ TRAJECTORY_DIGESTS = {
 RANDOM_TRAJECTORY_DIGEST = "2af4b1a2de6f1b0239a02bcc9df7618890837fef80a997a9ac8ca732b118025d"
 
 
+# two systems whose equations read several ratios in interleaved order, one
+# of them twice under two delay names (half and mid), repeat a reference
+# within an equation and read u'@q; the ratio 0.999 lands lookups inside
+# the step in progress, so both extrapolate
+INTERLEAVED = {
+    "order1": """
+order = 1
+vars = u1, u2
+delay half = proportional(1/2)
+delay third = proportional(1/3)
+delay near = proportional(0.999)
+delay mid = proportional(0.5)
+eq u1' = u2@half * u1@third + u1@half - u2@near / 4
+eq u2' = u1@third - u2@mid + u1@near * u2@third - u1@near / 8
+init u1 = [1]
+init u2 = [1/2]
+horizon = 1
+taylor_order = 8
+""",
+    "order2": """
+order = 2
+vars = u1, u2
+delay half = proportional(1/2)
+delay third = proportional(1/3)
+delay near = proportional(0.999)
+eq u1'' = u2'@third * u1@half - u1'@half + u2@near - u1'@near * u1'@near
+eq u2'' = u1'@near - u2'@third * u2@half + u1@third + sin(u2'@half)
+init u1 = [1, 0]
+init u2 = [0, 1]
+horizon = 1
+taylor_order = 8
+""",
+}
+INTERLEAVED_DIGESTS = {
+    "order1": "c6811ebad82d3668c3b2438caef2f08f6e98d5133d375da478aa2ea07c3ca318",
+    "order2": "eede91ff174dd7dd3775a0c77e01d784489f156d7eae61f39591968377a1b0e7",
+}
+
+
 def trajectory_text(trajectory) -> str:
     lines = [
         f"{t:.17g}|"
@@ -213,6 +252,16 @@ class TestPinnedOutput:
                 integrate_reference(reduced, 1e-2, reduced.validity.upper)
             )
         assert sha256(text) == RANDOM_TRAJECTORY_DIGEST
+
+    @pytest.mark.parametrize("name", sorted(INTERLEAVED_DIGESTS))
+    def test_interleaved_ratios_match_recorded_digest(self, name):
+        reduced = substitute_history(parse_problem(INTERLEAVED[name]))
+        text = ""
+        for step in (5e-2, 1e-2, 2e-3):
+            trajectory = integrate_reference(reduced, step, 1.0)
+            assert trajectory.extrapolated_lookups > 0
+            text += trajectory_text(trajectory)
+        assert sha256(text) == INTERLEAVED_DIGESTS[name]
 
     @pytest.mark.parametrize(
         "rhs, step, message",
