@@ -292,10 +292,10 @@ def sample(traj: DenseTrajectory, t: float, deriv: int = 0) -> tuple[float, ...]
         i = len(times) - 2
     a, b, c, d = _hermite_weights(times[i], times[i + 1] - times[i], t)
     y0, d0, y1, d1 = traj.states[i], traj.derivs[i], traj.states[i + 1], traj.derivs[i + 1]
-    return tuple(
-        a * y0[k] + b * d0[k] + c * y1[k] + d * d1[k]
-        for k in range(deriv, traj.num_vars * traj.order, traj.order)
-    )
+    out = []
+    for k in range(deriv, traj.num_vars * traj.order, traj.order):
+        out.append(a * y0[k] + b * d0[k] + c * y1[k] + d * d1[k])
+    return tuple(out)
 
 
 def compare(
