@@ -504,7 +504,7 @@ def mutated_fixture(draw) -> str:
             continue
         if kind == "long sum":
             # past the parser's bound of 250 tree levels when the line is an eq
-            lines = text.splitlines() or [""]
+            lines = text.splitlines()
             row = draw(st.integers(0, len(lines) - 1))
             lines[row] += " + u1" * draw(st.integers(251, 300))
             text = "\n".join(lines)
