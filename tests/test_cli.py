@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -141,6 +142,32 @@ class TestSolve:
             "example1.csv", "example2.csv", "example3.csv", "example3_u1.csv",
         ]
         assert "u2" in err
+
+    def test_batch_goes_on_past_failing_files(self, run, tmp_path):
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        files = {
+            "a_malformed.fde": SCALAR.replace("order = 1", "order = 1.5"),
+            "b_domain.fde": SCALAR.replace("u@half - u", "exp(u@half)").replace("[1]", "[1000]"),
+            "c_h2.fde": H2,
+            "d_good.fde": SCALAR,
+        }
+        alone = {}
+        for name, text in files.items():
+            (batch / name).write_text(text)
+            alone[name] = run("solve", str(batch / name))
+        assert [code for code, _, _ in alone.values()] == [1, 3, 2, 0]
+        assert all(len(err.splitlines()) == 1 for code, _, err in alone.values() if code)
+
+        code, out, err = run("solve", str(batch), "--all")
+        assert code == 3
+        assert out == "".join(f"# {name}\n{alone[name][1]}" for name in files)
+        assert err == "".join(err for _, _, err in alone.values())
+
+        outdir = tmp_path / "out"
+        assert run("solve", str(batch), "--all", "--out", str(outdir)) == (3, "", err)
+        for name, (_, text, _) in alone.items():
+            assert (outdir / name).with_suffix(".txt").read_text() == text
 
     def test_strict_flag_escalates_compatibility(self, run, tmp_path):
         path = tmp_path / "sloppy.fde"
@@ -445,6 +472,23 @@ class TestExitContract:
         assert (code, out) == (2, "")
         assert err.startswith("error: --h 0.001 cuts [0, 100.001] into 100001 reference steps")
 
+    def test_cli_import_loads_only_the_standard_library(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys; bare = set(sys.modules); import taydel.cli; "
+            "print(sorted(m for m in set(sys.modules) - bare "
+            "if m.partition('.')[0] not in {*sys.stdlib_module_names, 'taydel'}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
     def test_cli_import_does_not_load_logging(self):
         src = Path(__file__).resolve().parent.parent / "src"
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
@@ -468,6 +512,60 @@ init u = [1]
 horizon = 1
 taylor_order = 10
 """
+
+# the first equation reads the top derivative of the other variable through a
+# proportional delay, which the H2 check refuses
+H2 = """\
+order = 1
+vars = u, v
+delay half = proportional(1/2)
+eq u' = v'@half + u
+eq v' = u
+init u = [1]
+init v = [0]
+horizon = 1
+taylor_order = 6
+"""
+
+# phi(0) = 5 against init 1: a warning, or exit 2 under --strict
+MISMATCH = """\
+order = 1
+vars = u
+delay d = constant(1)
+eq u' = u@d
+phi u = t + 5
+init u = [1]
+horizon = 1
+taylor_order = 4
+"""
+
+MATRIX_COMMANDS = (
+    ("info",),
+    ("solve",),
+    ("solve", "--json"),
+    ("solve", "--csv", "--order", "25"),
+    ("solve", "--strict"),
+    ("eval", "--at", "0.1,0.2,0.3"),
+    ("eval", "--at", "5"),
+    ("compare",),
+    ("compare", "--interval", "0,100"),
+)
+
+
+def test_command_matrix_output_is_unchanged(run, fixtures_dir, tmp_path):
+    """sha256 over (argv, exit code, stdout, stderr) of every command line on
+    the fixtures, an H2 file and a compatibility-mismatch file."""
+    (tmp_path / "h2.fde").write_text(H2)
+    (tmp_path / "mismatch.fde").write_text(MISMATCH)
+    paths = sorted(fixtures_dir.glob("*.fde")) + [tmp_path / "h2.fde", tmp_path / "mismatch.fde"]
+    digest = hashlib.sha256()
+    for path in paths:
+        for command, *flags in MATRIX_COMMANDS:
+            result = run(command, str(path), *flags)
+            digest.update(repr(((command, path.name, *flags), *result)).encode())
+    assert digest.hexdigest() == (
+        "057d43da9694ffb25c217264420d92105a3876f747a14abbd65fa044cab966a1"
+    )
 
 
 # fuzzing the exit contract -----------------------------------------------------
