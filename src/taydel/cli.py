@@ -25,7 +25,7 @@ from . import engine, oracle
 from . import expr as ex
 from .problem import ProblemError, check_compatibility, check_h2, compute_validity
 from .problemfile import load_problem
-from .reduce import substitute_history
+from .reduce import ReducedSystem, substitute_history
 from .series import SeriesError
 
 EXIT_OK = 0
@@ -165,17 +165,18 @@ def _floats(text: str, flag: str) -> list[float]:
         raise UsageError(f"{flag} needs comma-separated numbers, got {text!r}") from None
 
 
-def _run_checks(problem, strict: bool) -> int | None:
-    """Shared validation: returns an exit code on failure, None to go on."""
+def _reduce(args, path) -> ReducedSystem:
+    """The pipeline every solving command shares: load, the H2 and
+    compatibility checks, then history substitution."""
+    problem = load_problem(path)
     h2 = check_h2(problem)
     if not h2.ok:
         v = h2.violations[0]
-        _error(
+        raise ProblemError(
             f"equation {problem.var_names[v.equation - 1]} references the top "
             f"derivative of {problem.var_names[v.variable - 1]} through "
             f"proportional delay {v.delay!r}"
         )
-        return EXIT_VALIDATION
     compat = check_compatibility(problem)
     if not compat.ok:
         worst = max(
@@ -186,11 +187,10 @@ def _run_checks(problem, strict: bool) -> int | None:
             f"{problem.var_names[worst.var - 1]}: derivative {worst.deriv} has "
             f"residual {worst.residual:.6g}"
         )
-        if strict:
-            _error(message)
-            return EXIT_VALIDATION
+        if args.strict:
+            raise ProblemError(message)
         _warn(message)
-    return None
+    return substitute_history(problem, trunc_order=args.order)
 
 
 def cmd_info(args) -> int:
@@ -198,7 +198,7 @@ def cmd_info(args) -> int:
     structure = problem.structure()
     validity = compute_validity(problem)
     compat = check_compatibility(problem)
-    h2 = check_h2(problem, structure)
+    h2 = check_h2(problem)
     print(f"order: {problem.order}")
     print(f"variables: {len(problem.var_names)} ({', '.join(problem.var_names)})")
     print(f"delays: {len(problem.delays)}")
@@ -240,41 +240,27 @@ def cmd_info(args) -> int:
     return EXIT_OK if compat.ok and h2.ok else EXIT_VALIDATION
 
 
+def _render(args, names, coeffs, validity, estimate, pivot_log) -> str:
+    if args.json:
+        return _solution_json(names, coeffs, validity, estimate, pivot_log)
+    if args.csv:
+        return _solution_csv(names, coeffs)
+    return _solution_text(names, coeffs, validity, estimate)
+
+
 def _solve_one(args, path) -> tuple[int, str]:
-    problem = load_problem(path)
-    failed = _run_checks(problem, args.strict)
-    if failed is not None:
-        return failed, ""
-    reduced = substitute_history(problem, trunc_order=args.order)
+    reduced = _reduce(args, path)
     try:
         solution = engine.solve_reduced(reduced)
     except engine.ZeroPivot as exc:
         _error(str(exc))
-        names = exc.var_names or problem.var_names
-        coeffs = exc.partial_coeffs or ()
-        if args.json:
-            text = _solution_json(names, coeffs, reduced.validity, None, ())
-        elif args.csv:
-            text = _solution_csv(names, coeffs)
-        else:
-            text = _solution_text(names, coeffs, reduced.validity, None)
+        text = _render(args, reduced.var_names, exc.partial_coeffs, reduced.validity, None, ())
         return EXIT_ENGINE, text
-    solution = engine.with_error_estimate(solution, solution.validity.upper)
     coeffs = [s.coeffs for s in solution.series]
-    if args.json:
-        text = _solution_json(
-            solution.var_names,
-            coeffs,
-            solution.validity,
-            solution.error_estimate,
-            solution.pivot_log,
-        )
-    elif args.csv:
-        text = _solution_csv(solution.var_names, coeffs)
-    else:
-        text = _solution_text(
-            solution.var_names, coeffs, solution.validity, solution.error_estimate
-        )
+    estimate = engine.estimate_error(solution, solution.validity.upper)
+    text = _render(
+        args, solution.var_names, coeffs, solution.validity, estimate, solution.pivot_log
+    )
     return EXIT_OK, text
 
 
@@ -282,15 +268,16 @@ def cmd_solve(args) -> int:
     if args.all:
         directory = Path(args.file)
         if not directory.is_dir():
-            _error(f"--all needs a directory, got {args.file!r}")
-            return EXIT_VALIDATION
+            raise UsageError(f"--all needs a directory, got {args.file!r}")
         files = sorted(directory.glob("*.fde"))
         if not files:
-            _error(f"no .fde files in {directory}")
-            return EXIT_VALIDATION
+            raise UsageError(f"no .fde files in {directory}")
         worst = EXIT_OK
         for path in files:
-            code, text = _solve_one(args, path)
+            try:
+                code, text = _solve_one(args, path)
+            except Exception as exc:
+                code, text = _exit_code(exc), ""
             worst = max(worst, code)
             if args.out:
                 suffix = ".json" if args.json else ".csv" if args.csv else ".txt"
@@ -307,43 +294,23 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    problem = load_problem(args.file)
-    failed = _run_checks(problem, args.strict)
-    if failed is not None:
-        return failed
-    solution = engine.solve_reduced(substitute_history(problem, trunc_order=args.order))
+    solution = engine.solve_reduced(_reduce(args, args.file))
     points = _floats(args.at, "--at")
     if not points:
-        _error("--at needs at least one time value")
-        return EXIT_VALIDATION
-    rows = []
-    for t in points:
-        try:
-            values = engine.evaluate_solution(solution, t, unchecked=args.unchecked)
-        except engine.ValidityError as exc:
-            _error(str(exc))
-            return EXIT_VALIDATION
-        rows.append((t, values))
+        raise UsageError("--at needs at least one time value")
     lines = ["t," + ",".join(solution.var_names)]
-    for t, values in rows:
+    for t in points:
+        values = engine.evaluate_solution(solution, t, unchecked=args.unchecked)
         lines.append(_fmt(t) + "," + ",".join(_fmt(v) for v in values))
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    problem = load_problem(args.file)
-    failed = _run_checks(problem, args.strict)
-    if failed is not None:
-        return failed
-    reduced = substitute_history(problem, trunc_order=args.order)
-    try:
-        # restriction check happens before any solving so that unsupported
-        # systems report the offending term rather than a marching error
-        oracle.check_supported(reduced)
-    except oracle.OracleRestriction as exc:
-        _error(str(exc))
-        return EXIT_VALIDATION
+    reduced = _reduce(args, args.file)
+    # restriction check happens before any solving so that unsupported
+    # systems report the offending term rather than a marching error
+    oracle.check_supported(reduced)
     if args.interval:
         bounds = _floats(args.interval, "--interval")
         if len(bounds) != 2:
@@ -352,11 +319,10 @@ def cmd_compare(args) -> int:
     else:
         a, b = 0.0, reduced.validity.upper
     if not 0.0 <= a < b <= reduced.validity.upper + 1e-12:
-        _error(
+        raise UsageError(
             f"comparison interval [{a:g}, {b:g}] must lie inside "
             f"[0, {reduced.validity.upper:g}]"
         )
-        return EXIT_VALIDATION
     steps = oracle.reference_steps(args.step, b)
     if steps > oracle.MAX_REFERENCE_STEPS:
         raise UsageError(
@@ -437,10 +403,23 @@ def build_parser() -> argparse.ArgumentParser:
 # message is printed as one line
 EXIT_CODES = (
     ((ex.ParseError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError), EXIT_PARSE),
-    ((ProblemError, ex.StructureError, ex.EvaluationError, SeriesError), EXIT_VALIDATION),
-    ((engine.ValidityError, oracle.OracleError, UsageError), EXIT_VALIDATION),
+    (
+        (ProblemError, ex.StructureError, ex.EvaluationError, SeriesError,
+         engine.ValidityError, oracle.OracleError, UsageError),
+        EXIT_VALIDATION,
+    ),
     (engine.EngineError, EXIT_ENGINE),
 )
+
+
+def _exit_code(exc: Exception) -> int:
+    """Print a failure's one line and return its exit code; a failure that
+    EXIT_CODES does not name is raised again."""
+    for classes, code in EXIT_CODES:
+        if isinstance(exc, classes):
+            _error(str(exc))
+            return code
+    raise exc
 
 
 def main(argv=None) -> int:
@@ -448,11 +427,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except Exception as exc:
-        for classes, code in EXIT_CODES:
-            if isinstance(exc, classes):
-                _error(str(exc))
-                return code
-        raise
+        return _exit_code(exc)
 
 
 def entry() -> None:

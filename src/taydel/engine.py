@@ -20,7 +20,7 @@ undetermined, and both cases are reported as distinct errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import repeat
 from operator import add, mul
@@ -132,7 +132,6 @@ class TaylorSolution:
     tail: tuple[float, ...]
     validity: ValidityInterval
     pivot_log: tuple[PivotEntry, ...] = ()
-    error_estimate: ErrorEstimate | None = None
 
     @property
     def trunc_order(self) -> int:
@@ -398,8 +397,7 @@ def solve(problem: CauchyProblem, *, trunc_order: int | None = None) -> TaylorSo
     On a marching failure the raised error carries the coefficients
     computed so far.
     """
-    structure = problem.structure()
-    h2 = check_h2(problem, structure)
+    h2 = check_h2(problem)
     if not h2.ok:
         first = h2.violations[0]
         raise ProblemError(
@@ -470,10 +468,6 @@ def estimate_error(solution: TaylorSolution, delta: float) -> ErrorEstimate:
     return ErrorEstimate(
         trunc_order=target, delta=delta, k_hat=tuple(k_hats), bound=tuple(bounds)
     )
-
-
-def with_error_estimate(solution: TaylorSolution, delta: float) -> TaylorSolution:
-    return replace(solution, error_estimate=estimate_error(solution, delta))
 
 
 def evaluate_solution(

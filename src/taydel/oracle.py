@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import expr as ex
 from .engine import TaylorSolution, evaluate_solution
@@ -53,7 +53,6 @@ class DenseTrajectory:
     states: tuple[tuple[float, ...], ...]
     derivs: tuple[tuple[float, ...], ...]
     extrapolated_lookups: int = 0
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def horizon(self) -> float:

@@ -338,15 +338,12 @@ class H2Report:
         return not self.violations
 
 
-def check_h2(
-    problem: CauchyProblem, structure: ex.StructureReport | None = None
-) -> H2Report:
+def check_h2(problem: CauchyProblem) -> H2Report:
     """Top-order references through a proportional delay must point at the
     equation's own variable; a cross-variable occurrence makes the marching
     recurrence unable to isolate the new coefficient."""
-    structure = structure or problem.structure()
     violations = []
-    for eq_index, ref in structure.neutral_proportional_refs:
+    for eq_index, ref in problem.structure().neutral_proportional_refs:
         if ref.var != eq_index:
             violations.append(
                 H2Violation(equation=eq_index, variable=ref.var, delay=ref.delay)

@@ -94,16 +94,22 @@ def _parse_int(text: str, line_no: int) -> int:
     return int(value)
 
 
+# the keys that take one value, each with the parser of that value
+_SCALARS = {
+    "order": _parse_int,
+    "vars": lambda value, line_no: [v.strip() for v in value.split(",") if v.strip()],
+    "horizon": _parse_number,
+    "taylor_order": _parse_int,
+}
+
+
 def parse_problem(text: str, *, name: str = "<string>") -> CauchyProblem:
     """Parse a problem file's contents into a validated problem."""
-    order = None
-    var_names: list[str] | None = None
+    scalars = {}
     # (line number, name, value, offset of the value in its line)
     sections: dict[str, list[tuple[int, str, str, int]]] = {
         "delay": [], "eq": [], "init": [], "phi": []
     }
-    horizon = None
-    taylor_order = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -119,27 +125,20 @@ def parse_problem(text: str, *, name: str = "<string>") -> CauchyProblem:
         parts = key.split()
         if not parts:
             raise _fail(f"missing key before '=' in {line!r}", line_no)
-        if parts[0] == "order" and len(parts) == 1:
-            order = _parse_int(value, line_no)
-        elif parts[0] == "vars" and len(parts) == 1:
-            var_names = [v.strip() for v in value.split(",") if v.strip()]
-        elif parts[0] == "horizon" and len(parts) == 1:
-            horizon = _parse_number(value, line_no)
-        elif parts[0] == "taylor_order" and len(parts) == 1:
-            taylor_order = _parse_int(value, line_no)
+        if parts[0] in _SCALARS and len(parts) == 1:
+            if parts[0] in scalars:
+                raise _fail(f"duplicate {parts[0]!r} section", line_no)
+            scalars[parts[0]] = _SCALARS[parts[0]](value, line_no)
         elif parts[0] in sections and len(parts) == 2:
             sections[parts[0]].append((line_no, parts[1], value, offset))
         else:
             raise _fail(f"unrecognized section {key!r}", line_no)
 
-    if order is None:
-        raise _fail("missing 'order' section", 1)
-    if var_names is None or not var_names:
-        raise _fail("missing 'vars' section", 1)
-    if horizon is None:
-        raise _fail("missing 'horizon' section", 1)
-    if taylor_order is None:
-        raise _fail("missing 'taylor_order' section", 1)
+    for key in _SCALARS:
+        # a vars line that names no variable counts as missing
+        if key not in scalars or scalars[key] == []:
+            raise _fail(f"missing {key!r} section", 1)
+    order, var_names, horizon, taylor_order = (scalars[key] for key in _SCALARS)
     for v in var_names:
         if not _NAME_RE.match(v):
             raise _fail(f"bad variable name {v!r}", 1)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -273,6 +274,14 @@ class TestExitContract:
         [
             pytest.param("horizon = 1", "horizon = 1\n= 3", 1, "solve", None, id="missing_key"),
             pytest.param("order = 1", "order = 1.5", 1, "solve", None, id="fractional_order"),
+            pytest.param(
+                "taylor_order = 10",
+                "taylor_order = 10\nhorizon = 1e6",
+                1,
+                "solve",
+                "duplicate 'horizon' section (line 8, column 0)",
+                id="repeated_horizon",
+            ),
             pytest.param("order = 1", "order = inf", 1, "solve", None, id="infinite_order"),
             pytest.param(
                 "taylor_order = 10", "taylor_order = 1.5", 1, "solve", None,
@@ -597,8 +606,8 @@ def mutated_fixture(draw) -> str:
             text = "\n".join(draw(st.permutations(text.splitlines())))
             continue
         if kind == "horizon":
-            # the last horizon line wins: a huge one that --interval bounds
-            text += "\nhorizon = 1e6\n"
+            # a huge horizon, which --interval bounds
+            text = re.sub(r"(?m)^horizon\b.*$", "horizon = 1e6", text)
             continue
         if kind == "long sum":
             # past the parser's bound of 250 tree levels when the line is an eq
