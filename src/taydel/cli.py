@@ -254,14 +254,14 @@ def _solve_one(args, path) -> tuple[int, str]:
         solution = engine.solve_reduced(reduced)
     except engine.ZeroPivot as exc:
         _error(str(exc))
-        text = _render(args, reduced.var_names, exc.partial_coeffs, reduced.validity, None, ())
-        return EXIT_ENGINE, text
+        return EXIT_ENGINE, _render(
+            args, reduced.var_names, exc.partial_coeffs, reduced.validity, None, ()
+        )
     coeffs = [s.coeffs for s in solution.series]
     estimate = engine.estimate_error(solution, solution.validity.upper)
-    text = _render(
+    return EXIT_OK, _render(
         args, solution.var_names, coeffs, solution.validity, estimate, solution.pivot_log
     )
-    return EXIT_OK, text
 
 
 def cmd_solve(args) -> int:
@@ -288,8 +288,7 @@ def cmd_solve(args) -> int:
                 sys.stdout.write(f"# {path.name}\n{text}")
         return worst
     code, text = _solve_one(args, args.file)
-    if text:
-        _write(text, args.out)
+    _write(text, args.out)
     return code
 
 
