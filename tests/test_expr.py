@@ -22,10 +22,12 @@ from taydel.expr import (
     eval_numeric,
     eval_series,
     iter_refs,
+    map_refs,
     parse_expression,
     pretty,
     time_series,
 )
+from taydel.problem import ConstantDelay, ProblemError, ValidityInterval
 from taydel.series import Series, SeriesDomainError, exp_linear, monomial
 
 VARS = ("u1", "u2", "u3")
@@ -348,3 +350,55 @@ class TestCompileNumeric:
         with pytest.raises(EvaluationError) as excinfo:
             compiled(0.0, None)
         assert str(excinfo.value) == "state reference u1'@a1 not allowed in this context"
+
+
+class TestValueClasses:
+    """The semantics callers rely on in every immutable value class."""
+
+    def test_equality_needs_the_same_class(self):
+        a, b = StateRef(1, 0), Const(2.0)
+        assert Add(a, b) == Add(a, b)
+        assert Add(a, b) != Sub(a, b)
+        assert Const(1.0) != 1.0
+
+    def test_hash_is_the_hash_of_the_field_tuple(self):
+        assert hash(StateRef(1, 0, "half")) == hash((1, 0, "half"))
+        assert hash(TIME) == hash(())
+        assert len({Add(StateRef(1, 0), TIME), Add(StateRef(1, 0), TIME)}) == 1
+
+    def test_fields_cannot_be_assigned(self):
+        ref = StateRef(1, 0)
+        with pytest.raises(AttributeError):
+            ref.var = 2
+        with pytest.raises(AttributeError):
+            ref.extra = 1
+
+    def test_keyword_construction_and_defaults(self):
+        assert StateRef(deriv=1, var=2) == StateRef(2, 1, None)
+        assert ValidityInterval(0.0, 1.0, upper=1.0).notes == ()
+        assert Pow(exponent=2.0, base=TIME) == Pow(TIME, 2.0)
+        with pytest.raises(TypeError):
+            StateRef(1)
+        with pytest.raises(TypeError):
+            StateRef(1, 0, "half", "extra")
+        with pytest.raises(TypeError):
+            StateRef(1, 0, dely="half")
+
+    def test_repr_names_every_field(self):
+        assert repr(Add(StateRef(1, 0, "half"), Const(2.0))) == (
+            "Add(left=StateRef(var=1, deriv=0, delay='half'), right=Const(value=2.0))"
+        )
+        assert repr(TIME) == "Time()"
+
+    def test_post_init_still_validates(self):
+        with pytest.raises(ProblemError, match="constant delay must be positive"):
+            ConstantDelay(-1.0)
+        assert Series([1, 2]).coeffs == (1.0, 2.0)
+
+    def test_map_refs_shares_unchanged_subtrees(self):
+        kept = parse_expression("exp(t) * 2", variables=VARS)
+        tree = Add(kept, Neg(StateRef(1, 0)))
+        mapped = map_refs(tree, lambda ref: Const(3.0))
+        assert mapped == Add(kept, Neg(Const(3.0)))
+        assert mapped.left is kept
+        assert map_refs(kept, lambda ref: Const(3.0)) is kept

@@ -1,10 +1,12 @@
 import hashlib
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from taydel.engine import solve_reduced
+from taydel.engine import estimate_error, solve_reduced
 from taydel.oracle import (
     MAX_REFERENCE_STEPS,
     OracleError,
@@ -14,9 +16,13 @@ from taydel.oracle import (
     integrate_reference,
     sample,
 )
+from taydel.problem import check_compatibility, check_h2, compute_validity
 from taydel.problemfile import load_problem, parse_problem
 from taydel.reduce import substitute_history
 from test_engine import random_system
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import families  # noqa: E402
 
 PLAIN = """
 order = 1
@@ -289,3 +295,37 @@ def test_step_budget_covers_the_default_step_on_the_unit_interval():
     with pytest.raises(OracleError, match=r"into 100001 steps, more than the budget of 100000$"):
         integrate_reference(reduced, 1.0 / (MAX_REFERENCE_STEPS + 1), 1.0)
     assert MAX_REFERENCE_STEPS >= 100 * 1000  # taydel compare's default --h 1e-3 on [0, 1]
+
+
+# sha256 over the repr of every value the pipeline returns, recorded while
+# the value classes were still frozen dataclasses: problem, compatibility
+# and H2 reports, validity interval, reduced system, solution, error
+# estimate and reference trajectory (or the error a stage raised), for the
+# four fixtures and seeds 1-5 of the benchmark's march, history and
+# validate families.  The repr of a value class spells every field, nested
+# expression trees included, so a change to a class's fields, their order,
+# their defaults or the repr itself changes the digest.
+REPR_DIGEST = "ee77bd19ee579547f1fc580a4b8b42fcb35b243af53a8d9da8ede3bdc2e247aa"
+
+
+def pipeline_reprs(problem) -> str:
+    lines = [repr(problem), repr(check_compatibility(problem)), repr(check_h2(problem))]
+    try:
+        lines.append(repr(compute_validity(problem)))
+        reduced = substitute_history(problem)
+        lines.append(repr(reduced))
+        solution = solve_reduced(reduced)
+        lines.append(repr(solution))
+        lines.append(repr(estimate_error(solution, reduced.validity.upper)))
+        lines.append(repr(integrate_reference(reduced, 2e-2, reduced.validity.upper)))
+    except Exception as exc:  # the error a stage raised is part of the pin
+        lines.append(f"{type(exc).__name__}: {exc}")
+    return "\n".join(lines) + "\n"
+
+
+def test_pipeline_value_reprs_match_recorded_digest(fixtures_dir):
+    problems = [load_problem(path) for path in sorted(fixtures_dir.glob("*.fde"))]
+    for family in (families.march_family, families.history_family, families.validate_family):
+        for seed in range(1, 6):
+            problems += [parse_problem(p.text) for p in family(seed)]
+    assert sha256("".join(pipeline_reprs(problem) for problem in problems)) == REPR_DIGEST
