@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import engine, oracle
+from . import engine
 from . import expr as ex
 from .problem import ProblemError, check_compatibility, check_h2, compute_validity
 from .problemfile import load_problem
@@ -158,11 +158,16 @@ def _error(message: str) -> None:
 
 
 def _floats(text: str, flag: str) -> list[float]:
-    """The comma-separated numbers of a flag value; empty parts are skipped."""
+    """The comma-separated finite numbers of a flag value; empty parts are
+    skipped."""
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        values = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"{flag} needs comma-separated numbers, got {text!r}") from None
+    for value in values:
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} needs finite numbers, got {value!r}")
+    return values
 
 
 def _reduce(args, path) -> ReducedSystem:
@@ -300,12 +305,16 @@ def cmd_eval(args) -> int:
     lines = ["t," + ",".join(solution.var_names)]
     for t in points:
         values = engine.evaluate_solution(solution, t, unchecked=args.unchecked)
+        for name, value in zip(solution.var_names, values):
+            if not math.isfinite(value):
+                raise ex.EvaluationError(f"{name} at t = {t:g} evaluates to {value!r}")
         lines.append(_fmt(t) + "," + ",".join(_fmt(v) for v in values))
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
+    from . import oracle  # the reference integrator loads only for compare
     reduced = _reduce(args, args.file)
     # restriction check happens before any solving so that unsupported
     # systems report the offending term rather than a marching error
@@ -404,7 +413,7 @@ EXIT_CODES = (
     ((ex.ParseError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError), EXIT_PARSE),
     (
         (ProblemError, ex.StructureError, ex.EvaluationError, SeriesError,
-         engine.ValidityError, oracle.OracleError, UsageError),
+         engine.ValidityError, engine.OracleError, UsageError),
         EXIT_VALIDATION,
     ),
     (engine.EngineError, EXIT_ENGINE),

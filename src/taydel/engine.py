@@ -20,7 +20,6 @@ undetermined, and both cases are reported as distinct errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import repeat
 from operator import add, mul
@@ -28,7 +27,7 @@ from operator import add, mul
 from . import expr as ex
 from .problem import CauchyProblem, ProblemError, ProportionalDelay, ValidityInterval, check_h2
 from .reduce import ReducedSystem, substitute_history
-from .series import Series, SeriesError, monomial, non_finite_coefficient
+from .series import Record, Series, SeriesError, monomial, non_finite_coefficient
 
 PIVOT_TOLERANCE = 1e-12
 RESIDUAL_TOLERANCE = 1e-9
@@ -100,8 +99,12 @@ class ValidityError(ValueError):
     """Evaluation outside the validity interval in strict mode."""
 
 
-@dataclass(frozen=True)
-class ErrorEstimate:
+class OracleError(Exception):
+    """Failure of the reference integrator in ``oracle`` (domain error in the
+    right-hand side, lookup ahead of the computed history)."""
+
+
+class ErrorEstimate(Record):
     """Heuristic truncation-error bound on [0, delta].
 
     Per variable, the first truncated coefficient a = |U(N+1)| is inflated
@@ -118,15 +121,13 @@ class ErrorEstimate:
     bound: tuple[float | None, ...]
 
 
-@dataclass(frozen=True)
-class PivotEntry:
+class PivotEntry(Record):
     var: int
     k: int
     pivot: float
 
 
-@dataclass(frozen=True)
-class TaylorSolution:
+class TaylorSolution(Record):
     var_names: tuple[str, ...]
     series: tuple[Series, ...]
     tail: tuple[float, ...]

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
-from .series import Series, SeriesError, Tape, monomial
+from .series import Record, Series, SeriesError, Tape, monomial
 
 
 class ParseError(ValueError):
@@ -56,21 +55,18 @@ class EvaluationError(ValueError):
 
 # AST ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Const:
+class Const(Record):
     value: float
 
 
-@dataclass(frozen=True)
-class Time:
+class Time(Record):
     pass
 
 
 TIME = Time()
 
 
-@dataclass(frozen=True)
-class StateRef:
+class StateRef(Record):
     """Occurrence of variable ``var`` (1-based), derivative ``deriv``,
     optionally evaluated at the delayed argument named by ``delay``."""
 
@@ -79,49 +75,41 @@ class StateRef:
     delay: str | None = None
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Record):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Sub:
+class Sub(Record):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(Record):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Div:
+class Div(Record):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(Record):
     base: "Expr"
     exponent: float
 
 
-@dataclass(frozen=True)
-class Func:
+class Func(Record):
     fn: str
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class KnownSeries:
+class KnownSeries(Record):
     """A leaf holding an already-known series; produced by history
     substitution, never by the parser."""
 
@@ -186,8 +174,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str
     text: str
     line: int
@@ -512,11 +499,10 @@ def map_refs(node: Expr, fn: Callable[[StateRef], Expr]) -> Expr:
         mapped = map_refs(child, fn)
         if mapped is not child:
             changed[c] = mapped
-    return replace(node, **changed) if changed else node
+    return node._replace(**changed) if changed else node
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Record):
     """Delay usage summary of a system of right-hand sides."""
 
     max_deriv_per_delay: dict[str, int]

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 from . import expr as ex
-from .engine import TaylorSolution, evaluate_solution
+from .engine import OracleError, TaylorSolution, evaluate_solution
 from .reduce import ReducedSystem
+from .series import Record
 
 
 # The most RK4 steps one reference integration may take, refused before it
@@ -31,17 +31,11 @@ from .reduce import ReducedSystem
 MAX_REFERENCE_STEPS = 100_000
 
 
-class OracleError(Exception):
-    """Integration failure (domain error in the right-hand side, lookup
-    ahead of the computed history)."""
-
-
 class OracleRestriction(OracleError):
     """The system contains a term the reference integrator cannot handle."""
 
 
-@dataclass(frozen=True)
-class DenseTrajectory:
+class DenseTrajectory(Record):
     """Grid solution with enough node data for cubic-Hermite evaluation
     anywhere in [0, T]: state vectors and their time derivatives at the
     nodes.  Immutable once built; sampling is thread-safe."""

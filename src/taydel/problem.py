@@ -11,11 +11,10 @@ expression in ``t`` that stays positive on the horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Union
 
 from . import expr as ex
-from .series import monomial
+from .series import Record, monomial
 
 SCAN_POINTS = 1000
 BISECTION_ITERATIONS = 80
@@ -29,8 +28,7 @@ class ProblemError(ValueError):
 
 # delay laws -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstantDelay:
+class ConstantDelay(Record):
     tau: float
 
     def __post_init__(self):
@@ -38,8 +36,7 @@ class ConstantDelay:
             raise ProblemError(f"constant delay must be positive, got {self.tau!r}")
 
 
-@dataclass(frozen=True)
-class ProportionalDelay:
+class ProportionalDelay(Record):
     ratio: float
 
     def __post_init__(self):
@@ -49,8 +46,7 @@ class ProportionalDelay:
             )
 
 
-@dataclass(frozen=True)
-class TimeVaryingDelay:
+class TimeVaryingDelay(Record):
     """Lag given as an expression in t; the delayed argument is t - lag(t)."""
 
     lag: ex.Expr
@@ -59,8 +55,7 @@ class TimeVaryingDelay:
 DelayLaw = Union[ConstantDelay, ProportionalDelay, TimeVaryingDelay]
 
 
-@dataclass(frozen=True)
-class DelaySpec:
+class DelaySpec(Record):
     id: str
     law: DelayLaw
 
@@ -71,8 +66,7 @@ class DelaySpec:
 
 # problem ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CauchyProblem:
+class CauchyProblem(Record):
     """Full problem statement.
 
     ``init[j][k]`` is the k-th derivative of variable j at t = 0 (raw
@@ -159,8 +153,7 @@ class CauchyProblem:
 
 # validity interval --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidityInterval:
+class ValidityInterval(Record):
     """Where the one-step reduction makes sense.
 
     ``t_star`` is the earliest time the history is consulted (0 with only
@@ -173,7 +166,7 @@ class ValidityInterval:
     t_star: float
     t_alpha: float
     upper: float
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    notes: tuple[str, ...] = ()
 
 
 def _lag_function(law: TimeVaryingDelay):
@@ -274,8 +267,7 @@ def compute_validity(problem: CauchyProblem) -> ValidityInterval:
 
 # checks --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompatibilityEntry:
+class CompatibilityEntry(Record):
     var: int
     deriv: int
     history_value: float
@@ -290,8 +282,7 @@ class CompatibilityEntry:
         return abs(self.residual) <= COMPATIBILITY_TOLERANCE
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(Record):
     entries: tuple[CompatibilityEntry, ...]
 
     @property
@@ -322,15 +313,13 @@ def check_compatibility(problem: CauchyProblem) -> CompatibilityReport:
     return CompatibilityReport(entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class H2Violation:
+class H2Violation(Record):
     equation: int
     variable: int
     delay: str
 
 
-@dataclass(frozen=True)
-class H2Report:
+class H2Report(Record):
     violations: tuple[H2Violation, ...]
 
     @property

@@ -10,7 +10,6 @@ delays are proportional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from . import expr as ex
 from .problem import (
@@ -22,11 +21,17 @@ from .problem import (
     ValidityInterval,
     compute_validity,
 )
-from .series import PowerTable, Series, monomial
+from .series import PowerTable, Record, Series, monomial
+
+# The largest truncation order a system is reduced to, refused before any
+# work.  History substitution grows as N^3 per time-varying delay: on one
+# core of an x86-64 Xeon (CPython 3.11), the benchmark's history systems
+# took 0.3 s at N = 250, 1.9-2.4 s at 500 and 15-17 s at 1000, and
+# fixtures/example2.fde 0.1 s to reduce and 0.5 s to march at 1000.
+MAX_TRUNCATION_ORDER = 500
 
 
-@dataclass(frozen=True)
-class ReducedSystem:
+class ReducedSystem(Record):
     """System with proportional delays only; former constant and
     time-dependent delayed terms are known-series leaves built to order
     ``trunc_order + order`` at least, leaving headroom for derivative
@@ -120,6 +125,10 @@ def substitute_history(
     target = trunc_order if trunc_order is not None else problem.trunc_order
     if target < 1:
         raise ProblemError(f"truncation order must be at least 1, got {target}")
+    if target > MAX_TRUNCATION_ORDER:
+        raise ProblemError(
+            f"truncation order must be at most {MAX_TRUNCATION_ORDER}, got {target}"
+        )
     leaf_order = target + 2 * n + 2
     validity = validity or compute_validity(problem)
     specs = problem.delay_map()

@@ -15,10 +15,57 @@ in ``expr`` run on ``Tape``, the one driver of the recurrence rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add, mul
 from typing import Iterable, Sequence
+
+_RECORD_METHODS = """\
+def __init__(self{params}):
+{body}
+def __eq__(self, other):
+    return ({mine}) == ({theirs}) if other.__class__ is self.__class__ else NotImplemented
+def __hash__(self):
+    return hash(({mine}))
+"""
+
+
+class _RecordType(type):
+    """Makes the annotated names of a class body its slots and compiles
+    ``__init__``, ``__eq__`` and ``__hash__`` over them into the class."""
+
+    def __new__(mcls, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        scope = {f"_d_{f}": namespace.pop(f) for f in fields if f in namespace}
+        scope["_set"] = object.__setattr__
+        body = [f"    _set(self, {f!r}, {f})" for f in fields]
+        if "__post_init__" in namespace:
+            body.append("    self.__post_init__()")
+        exec(_RECORD_METHODS.format(
+            params="".join(f", {f}=_d_{f}" if f"_d_{f}" in scope else f", {f}" for f in fields),
+            body="\n".join(body or ["    pass"]),
+            mine="".join(f"self.{f}, " for f in fields),
+            theirs="".join(f"other.{f}, " for f in fields),
+        ), scope, namespace)
+        namespace["__slots__"] = namespace["_fields"] = fields
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(metaclass=_RecordType):
+    """Immutable value class.  The annotated names of a subclass body are its
+    fields, in order, a value assigned to one is its default, and ``__post_init__``
+    runs once they are set.  Equal only within a class; hashed as the field tuple."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
 
 
 class SeriesError(ValueError):
@@ -34,8 +81,7 @@ def non_finite_coefficient(value: float, index: int) -> SeriesError:
     return SeriesError(f"non-finite coefficient {value!r} at index {index}")
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Record):
     """Immutable truncated Taylor series."""
 
     coeffs: tuple[float, ...]

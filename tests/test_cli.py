@@ -407,6 +407,15 @@ class TestExitContract:
             (["compare", "--h", "nan"], "step size must be positive, got nan"),
             (["solve", "--order", "0"], "truncation order must be at least 1, got 0"),
             (["compare", "--order", "0"], "truncation order must be at least 1, got 0"),
+            (["solve", "--order", "100000"], "truncation order must be at most 500, got 100000"),
+            (
+                ["eval", "--at", "0.1", "--order", "501"],
+                "truncation order must be at most 500, got 501",
+            ),
+            (["compare", "--order", "501"], "truncation order must be at most 500, got 501"),
+            (["eval", "--at", "inf", "--unchecked"], "--at needs finite numbers, got inf"),
+            (["eval", "--at", "0.1,nan"], "--at needs finite numbers, got nan"),
+            (["compare", "--interval", "0,inf"], "--interval needs finite numbers, got inf"),
         ],
     )
     def test_bad_flag_value_gets_one_line(self, run, tmp_path, argv, message):
@@ -414,6 +423,23 @@ class TestExitContract:
         path.write_text(SCALAR)
         code, out, err = run(argv[0], str(path), *argv[1:])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_truncation_order_in_the_file_is_bounded(self, run, tmp_path):
+        path = tmp_path / "huge.fde"
+        path.write_text(SCALAR.replace("taylor_order = 10", "taylor_order = 100000"))
+        for argv in (["solve"], ["eval", "--at", "0.1"], ["compare"]):
+            code, out, err = run(argv[0], str(path), *argv[1:])
+            assert (code, out, err) == (
+                2, "", "error: truncation order must be at most 500, got 100000\n"
+            )
+        path.write_text(SCALAR.replace("taylor_order = 10", "taylor_order = 500"))
+        assert run("solve", str(path), "--json")[0] == 0
+
+    def test_non_finite_evaluated_value_gets_one_line(self, run, fixtures_dir):
+        code, out, err = run(
+            "eval", fixture(fixtures_dir, "example2.fde"), "--at", "0.1,1e200", "--unchecked"
+        )
+        assert (code, out, err) == (2, "", "error: u1 at t = 1e+200 evaluates to inf\n")
 
     def test_unreadable_problem_file_gets_one_line(self, run, tmp_path):
         binary = tmp_path / "binary.fde"
@@ -499,9 +525,15 @@ class TestExitContract:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
     def test_cli_import_does_not_load_logging(self):
+        """Nor dataclasses and inspect, which the value classes no longer
+        need, nor the reference integrator, which only compare loads."""
         src = Path(__file__).resolve().parent.parent / "src"
         path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        code = "import sys, taydel.cli; print('logging' in sys.modules)"
+        code = (
+            "import sys, taydel.cli; "
+            "print([m for m in ('logging', 'dataclasses', 'inspect', 'taydel.oracle') "
+            "if m in sys.modules])"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
@@ -509,7 +541,7 @@ class TestExitContract:
             env=dict(os.environ, PYTHONPATH=path),
             timeout=60,
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 SCALAR = """\
