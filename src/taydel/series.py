@@ -55,8 +55,8 @@ class Record(metaclass=_RecordType):
     fields, in order, a value assigned to one is its default, and ``__post_init__``
     runs once they are set.  Equal only within a class; hashed as the field tuple."""
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
 

@@ -372,6 +372,9 @@ class TestValueClasses:
             ref.var = 2
         with pytest.raises(AttributeError):
             ref.extra = 1
+        with pytest.raises(AttributeError):
+            del ref.var
+        assert ref == StateRef(1, 0)
 
     def test_keyword_construction_and_defaults(self):
         assert StateRef(deriv=1, var=2) == StateRef(2, 1, None)
@@ -383,6 +386,9 @@ class TestValueClasses:
             StateRef(1, 0, "half", "extra")
         with pytest.raises(TypeError):
             StateRef(1, 0, dely="half")
+        assert StateRef(1, 0)._replace(delay="half") == StateRef(1, 0, "half")
+        with pytest.raises(TypeError):
+            StateRef(1, 0)._replace(dely="half")
 
     def test_repr_names_every_field(self):
         assert repr(Add(StateRef(1, 0, "half"), Const(2.0))) == (
