@@ -29,31 +29,27 @@ def __hash__(self):
 """
 
 
-class _RecordType(type):
-    """Makes the annotated names of a class body its slots and compiles
-    ``__init__``, ``__eq__`` and ``__hash__`` over them into the class."""
+class Record:
+    """Immutable value class.  The annotated names of a subclass body are its
+    fields, in order, a value assigned to one is its default, and ``__post_init__``
+    runs once they are set.  Equal only within a class; hashed as the field tuple.
+    No metaclass and no slots: either would slow ``isinstance`` or attribute loads."""
 
-    def __new__(mcls, name, bases, namespace):
-        fields = tuple(namespace.get("__annotations__", ()))
-        scope = {f"_d_{f}": namespace.pop(f) for f in fields if f in namespace}
+    def __init_subclass__(cls):
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        scope = {f"_d_{f}": cls.__dict__[f] for f in fields if f in cls.__dict__}
         scope["_set"] = object.__setattr__
         body = [f"    _set(self, {f!r}, {f})" for f in fields]
-        if "__post_init__" in namespace:
+        if hasattr(cls, "__post_init__"):
             body.append("    self.__post_init__()")
         exec(_RECORD_METHODS.format(
             params="".join(f", {f}=_d_{f}" if f"_d_{f}" in scope else f", {f}" for f in fields),
             body="\n".join(body or ["    pass"]),
             mine="".join(f"self.{f}, " for f in fields),
             theirs="".join(f"other.{f}, " for f in fields),
-        ), scope, namespace)
-        namespace["__slots__"] = namespace["_fields"] = fields
-        return super().__new__(mcls, name, bases, namespace)
-
-
-class Record(metaclass=_RecordType):
-    """Immutable value class.  The annotated names of a subclass body are its
-    fields, in order, a value assigned to one is its default, and ``__post_init__``
-    runs once they are set.  Equal only within a class; hashed as the field tuple."""
+        ), scope)
+        for method in ("__init__", "__eq__", "__hash__"):
+            setattr(cls, method, scope[method])
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
