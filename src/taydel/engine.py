@@ -506,9 +506,7 @@ def residual_coefficients(
             out = out.scale_arg(specs[ref.delay].law.ratio)
         return out
 
-    residuals = []
-    for var in range(1, reduced.num_vars + 1):
-        lhs = solution.series[var - 1].differentiate(n)
-        rhs = ex.eval_series(reduced.equations[var - 1], t_r, resolve)
-        residuals.append(lhs - rhs)
-    return tuple(residuals)
+    return tuple(
+        ex.eval_series(ex.Sub(ex.KnownSeries(lhs.differentiate(n)), equation), t_r, resolve)
+        for lhs, equation in zip(solution.series, reduced.equations)
+    )

@@ -21,7 +21,7 @@ from .problem import (
     ValidityInterval,
     compute_validity,
 )
-from .series import PowerTable, Record, Series, monomial
+from .series import PowerTable, Record, Series
 
 # The largest truncation order a system is reduced to, refused before any
 # work.  History substitution grows as N^3 per time-varying delay: on one
@@ -63,7 +63,7 @@ def delay_argument_series(spec: DelaySpec, order: int) -> Series:
             coeffs[1] = 1.0
         return Series(tuple(coeffs))
     if isinstance(law, TimeVaryingDelay):
-        return monomial(1, order) - ex.eval_series(law.lag, ex.time_series(order))
+        return ex.eval_series(ex.Sub(ex.TIME, law.lag), ex.time_series(order))
     raise ProblemError(
         f"delay {spec.id!r} is proportional; its argument needs no expansion"
     )

@@ -1,15 +1,16 @@
-"""Truncated power-series arithmetic about t = 0.
+"""Truncated power series about t = 0 and the coefficient rules on them.
 
 A series ``[c0, c1, ..., cN]`` represents ``c0 + c1*t + ... + cN*t**N``;
-index k holds the k-th Taylor coefficient.  All binary operations require
-operands of identical truncation order.  Mixing orders is a hard error,
-never a silent re-truncation, so bookkeeping mistakes in recurrence code
-surface immediately.
+index k holds the k-th Taylor coefficient.  ``Series`` is a checked value:
+finite double-precision coefficients, immutable after construction, with
+the argument transforms the solver needs.  Every coefficient rule (sums,
+Cauchy products, the elementary recurrences, compositions) runs on
+``Tape``, which ``expr`` lowers expressions onto.
 
-Coefficients are double-precision floats.  Values are immutable after
-construction and every operation is a pure function, so series are safe
-to share between threads.  The compositions and the expression lowering
-in ``expr`` run on ``Tape``, the one driver of the recurrence rules.
+A known order is never silently extended: ``Series.truncated`` refuses
+padding, and ``expr.SeriesTape.lower`` refuses a known series shorter
+than its working order, since the missing coefficients are unknown, not
+zero.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from functools import partial, reduce
 from operator import add, mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class Record:
@@ -94,10 +95,6 @@ class Series(Record):
     def trunc_order(self) -> int:
         return len(self.coeffs) - 1
 
-    @classmethod
-    def constant(cls, value: float, order: int) -> "Series":
-        return cls((float(value),) + (0.0,) * order)
-
     def truncated(self, order: int) -> "Series":
         """Prefix of this series.  Extending (padding) is refused: the
         missing coefficients are unknown, not zero."""
@@ -106,54 +103,6 @@ class Series(Record):
                 f"cannot truncate order-{self.trunc_order} series to order {order}"
             )
         return Series(self.coeffs[: order + 1])
-
-    # elementwise arithmetic -------------------------------------------------
-
-    def _matched(self, other: "Series", op: str) -> None:
-        if self.trunc_order != other.trunc_order:
-            raise SeriesError(
-                f"{op}: truncation orders differ "
-                f"({self.trunc_order} vs {other.trunc_order})"
-            )
-
-    def __add__(self, other: "Series") -> "Series":
-        if not isinstance(other, Series):
-            return NotImplemented
-        self._matched(other, "add")
-        return Series(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Series") -> "Series":
-        if not isinstance(other, Series):
-            return NotImplemented
-        self._matched(other, "sub")
-        return Series(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Series":
-        return Series(tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            self._matched(other, "mul")
-            a, b = self.coeffs, other.coeffs
-            return Series(tuple(cauchy_term(a, b, k) for k in range(len(a))))
-        if isinstance(other, (int, float)):
-            return Series(tuple(float(other) * c for c in self.coeffs))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, Series):
-            self._matched(other, "div")
-            return self * compose_elementary("reciprocal", other)
-        if isinstance(other, (int, float)):
-            if other == 0:
-                raise SeriesDomainError("division of a series by scalar zero")
-            return Series(tuple(c / float(other) for c in self.coeffs))
-        return NotImplemented
 
     # argument transforms ----------------------------------------------------
 
@@ -480,16 +429,3 @@ def _next_power(previous: Sequence[float], inner: Sequence[float], i: int, k: in
     if k < i:
         return 0.0
     return sum(map(mul, previous[i - 1 : k], inner[k - i + 1 : 0 : -1]))
-
-
-def compose_polynomial(outer: Iterable[float], inner: Series) -> Series:
-    """Series of P(inner(t)) for a polynomial P given by its coefficients.
-
-    ``inner`` must have a zero constant term; the composition is then exact
-    through the truncation order.  Coefficient k sums its terms in
-    increasing degree, so low-index output coefficients do not depend on
-    the truncation order, which keeps solver output prefixes bit-identical
-    across different truncation orders.
-    """
-    outer = tuple(outer)
-    return PowerTable(inner, min(len(outer), len(inner.coeffs))).compose(outer)

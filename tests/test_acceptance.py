@@ -20,6 +20,7 @@ from taydel.engine import (
     solve,
     solve_reduced,
 )
+from taydel.expr import KnownSeries, Mul, eval_series, time_series
 from taydel.oracle import compare, integrate_reference
 from taydel.problemfile import load_problem, parse_problem
 from taydel.reduce import substitute_history
@@ -109,6 +110,11 @@ def test_criterion_3_neutral_system_adjudication(fixtures_dir):
     )
 
 
+def product_series(a: Series, b: Series) -> Series:
+    """a * b through the expression lowering that every solve runs."""
+    return eval_series(Mul(KnownSeries(a), KnownSeries(b)), time_series(a.trunc_order))
+
+
 def test_criterion_4_transform_rule_suite():
     # monomial rule
     assert monomial(2, 4).coeffs == (0.0, 0.0, 1.0, 0.0, 0.0)
@@ -126,7 +132,7 @@ def test_criterion_4_transform_rule_suite():
     # convolution
     a = Series((1.0, 2.0, 3.0, 0.0))
     b = Series((4.0, 5.0, 0.0, 0.0))
-    assert (a * b).coeffs == (4.0, 13.0, 22.0, 15.0)
+    assert product_series(a, b).coeffs == (4.0, 13.0, 22.0, 15.0)
     # q^k argument scaling
     scaled = u.scale_arg(0.5)
     for k, c in enumerate(scaled.coeffs):
@@ -134,7 +140,7 @@ def test_criterion_4_transform_rule_suite():
     # two-factor proportional product
     v = Series((1.0, 1.0, 0.5, 1 / 6, 0.0, 0.0))
     w = Series((2.0, 0.0, 1.0, 0.0, 0.0, 0.0))
-    product = v.scale_arg(0.5) * w.scale_arg(0.25)
+    product = product_series(v.scale_arg(0.5), w.scale_arg(0.25))
     for k in range(6):
         expected = sum(
             0.5**l * 0.25 ** (k - l) * v.coeffs[l] * w.coeffs[k - l]
@@ -230,7 +236,7 @@ def test_criterion_7_property_suites(fixtures_dir):
             for j, y in enumerate(b):
                 if i + j <= degree:
                     exact[i + j] += Fraction(x) * Fraction(y)
-        got = Series(tuple(a)) * Series(tuple(b))
+        got = product_series(Series(tuple(a)), Series(tuple(b)))
         for g, e in zip(got.coeffs, exact):
             assert abs(g - float(e)) <= 1e-13 * max(1.0, abs(float(e)))
 

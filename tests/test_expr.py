@@ -262,7 +262,7 @@ class TestEvalSeries:
     def test_known_series_truncates_to_working_order(self):
         leaf = KnownSeries(exp_linear(1.0, 8))
         got = eval_series(Mul(leaf, Const(2.0)), time_series(3))
-        assert got == 2 * exp_linear(1.0, 3)
+        assert got == Series(tuple(2.0 * c for c in exp_linear(1.0, 3).coeffs))
 
     def test_short_known_series_is_an_error(self):
         leaf = KnownSeries(Series((1.0, 1.0)))

@@ -27,7 +27,7 @@ from taydel.problem import check_compatibility
 from taydel.problemfile import load_problem, parse_problem
 from taydel.reduce import delay_argument_series, substitute_history
 from taydel.series import (
-    Series, SeriesDomainError, SeriesError, compose_elementary, compose_polynomial,
+    PowerTable, Series, SeriesDomainError, SeriesError, compose_elementary,
 )
 from test_engine import random_system
 
@@ -199,10 +199,10 @@ def test_lowering_matches_mpmath_taylor(name, a0):
 
 # series compositions ------------------------------------------------------------
 #
-# Digests of the 17-digit output of ``compose_elementary``,
-# ``compose_polynomial`` and ``Series.__truediv__``, recorded while each
-# still ran its own loops over whole series, before all three moved onto
-# the coefficient tape.
+# Digests of the 17-digit output of ``compose_elementary`` and of polynomial
+# composition (now ``PowerTable.compose``), recorded while each still ran
+# its own loops over whole series, before both moved onto the coefficient
+# tape.
 
 COMPOSE_CASES = (
     [(tag, None) for tag in ("exp", "ln", "sin", "cos", "reciprocal")]
@@ -218,7 +218,6 @@ POLYNOMIAL_DIGESTS = {
     "exp_lag": "562e8895ddf9c3888085cbf3ef61fd0b4e400a32699f9d84e65970247747e865",
     "polynomial_lag": "e6da7f9338c916f4cf7fff9a6534d0d25db24ebe20c7674ddca9da245c849ce1",
 }
-DIVISION_DIGEST = "08ef7579a4cbb10de9cedff468caf07767a04ad7b6f04af3ce5131c64a9f0185"
 
 
 def base_series(order):
@@ -247,19 +246,14 @@ def test_compose_polynomial_on_history_leaves_matches_recorded_digest(fixtures_d
             continue
         argument = delay_argument_series(spec, order)
         a0 = argument.coeffs[0]
-        inner = argument - Series.constant(a0, order)
+        inner = Series((0.0,) + argument.coeffs[1:])
         for phi in problem.phi:
             for deriv in range(problem.order + 1):
                 about = Series((a0, 1.0) + (0.0,) * (order + deriv - 1))
                 outer = eval_series(phi, about).differentiate(deriv)
-                lines.append(digits(compose_polynomial(outer.coeffs, inner).coeffs))
+                powers = PowerTable(inner, min(len(outer.coeffs), len(inner.coeffs)))
+                lines.append(digits(powers.compose(outer.coeffs).coeffs))
     assert sha256("\n".join(lines)) == POLYNOMIAL_DIGESTS[name]
-
-
-def test_series_division_matches_recorded_digest():
-    a, b = base_series(40), Series(tuple(1.0 / (k + 2) for k in range(41)))
-    quotients = (a / b, b / a, a / -b, a / 3.0, b / -0.7)
-    assert sha256("\n".join(digits(q.coeffs) for q in quotients)) == DIVISION_DIGEST
 
 
 def _pow(base, exponent):
@@ -274,8 +268,6 @@ def _pow(base, exponent):
         (lambda: compose_elementary("ln", Series((-2.0, 1.0))), SeriesDomainError,
          "ln requires a positive constant term, got -2.0"),
         (lambda: compose_elementary("reciprocal", Series((0.0, 1.0))), SeriesDomainError,
-         "reciprocal requires a nonzero constant term, got 0"),
-        (lambda: Series((1.0, 1.0)) / Series((0.0, 1.0)), SeriesDomainError,
          "reciprocal requires a nonzero constant term, got 0"),
         (lambda: compose_elementary("exp", Series((1000.0, 1.0))), SeriesDomainError,
          "exp overflows at constant term 1000.0"),
@@ -292,9 +284,9 @@ def _pow(base, exponent):
         (_pow((1e200, 1.0, 0.0), -2), SeriesError, "non-finite coefficient inf at index 0"),
         (lambda: compose_elementary("exp", Series((0.0, 1e200, 1e300))), SeriesError,
          "non-finite coefficient inf at index 2"),
-        (lambda: compose_polynomial((1e300, 1e300), Series((0.0, 1e300, 0.0))), SeriesError,
+        (lambda: PowerTable(Series((0.0, 1e300, 0.0)), 2).compose((1e300, 1e300)), SeriesError,
          "non-finite coefficient inf at index 1"),
-        (lambda: compose_polynomial((1.0, 1.0), Series((0.5, 1.0))), SeriesError,
+        (lambda: PowerTable(Series((0.5, 1.0)), 2).compose((1.0, 1.0)), SeriesError,
          "polynomial composition requires a zero constant term in the inner series, got 0.5"),
         (lambda: compose_elementary("tan", Series((0.0, 1.0))), SeriesError,
          "unknown elementary function tag 'tan'"),
