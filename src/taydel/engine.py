@@ -257,9 +257,9 @@ def transform_initial_conditions(problem: CauchyProblem | ReducedSystem) -> list
 
 def _state_step(reduced: ReducedSystem, specs, table, var: int, ref: ex.StateRef):
     """The tape step of u^(d)(q t): coefficient k is q**k * (k+d)!/k! *
-    table[k+d], with q**k a running product; table entries are checked as
-    they come into use.  Not a ``_Tape`` method, so that a tape holds no
-    reference cycle and is freed when the march returns."""
+    table[k+d], with q**k a running product.  Table entries were checked
+    where they were produced.  Not a ``_Tape`` method, so that a tape holds
+    no reference cycle and is freed when the march returns."""
     if ref.delay is not None and not specs[ref.delay].proportional:
         raise EngineError(
             f"unreduced delayed reference {ex.pretty(ref, reduced.var_names)}"
@@ -272,14 +272,7 @@ def _state_step(reduced: ReducedSystem, specs, table, var: int, ref: ex.StateRef
         )
     row = table[ref.var - 1]
     d = ref.deriv
-
-    def shifted(k):
-        # round 0 reads the whole prefix, later rounds one new entry
-        for i in range(k + d if k else 0, k + d + 1):
-            if not math.isfinite(row[i]):
-                raise non_finite_coefficient(row[i], i)
-        return math.perm(k + d, d) * row[k + d] if d else row[k]
-
+    shifted = (lambda k: math.perm(k + d, d) * row[k + d]) if d else row.__getitem__
     if ref.delay is None:
         return shifted
     q = specs[ref.delay].law.ratio
@@ -370,24 +363,28 @@ class _Tape:
         return perms
 
     def round(self, k: int, pivot_log=None) -> list[float]:
-        """The coefficients at index k+n of all variables; rounds 0..k-1
-        must have run."""
+        """The coefficients at index k+n of all variables, each checked to
+        be finite; rounds 0..k-1 must have run."""
         scale = self._perms_through(k)[k]
         new = []
         for segment in self.segments:
+            var = segment[0]
             value, pivot = self.rhs(segment, k)
             if pivot is None:
-                new.append(value / scale)
-                continue
-            var = segment[0]
-            if pivot_log is not None:
-                pivot_log.append(PivotEntry(var=var, k=k, pivot=pivot))
-            if abs(pivot) < PIVOT_TOLERANCE:
-                label = self.reduced.var_names[var - 1]
-                if abs(value) > RESIDUAL_TOLERANCE:
-                    raise ZeroPivotInconsistent(var, k, pivot, value, label)
-                raise ZeroPivotUnderdetermined(var, k, pivot, value, label)
-            new.append(value / (scale * pivot))
+                value /= scale
+            else:
+                if pivot_log is not None:
+                    pivot_log.append(PivotEntry(var=var, k=k, pivot=pivot))
+                if abs(pivot) < PIVOT_TOLERANCE:
+                    label = self.reduced.var_names[var - 1]
+                    if abs(value) > RESIDUAL_TOLERANCE:
+                        raise ZeroPivotInconsistent(var, k, pivot, value, label)
+                    raise ZeroPivotUnderdetermined(var, k, pivot, value, label)
+                value /= scale * pivot
+            if not math.isfinite(value):
+                index = k + self.reduced.order
+                raise EvalFailure(var, k, str(non_finite_coefficient(value, index)))
+            new.append(value)
         return new
 
 
@@ -417,6 +414,10 @@ def solve_reduced(reduced: ReducedSystem) -> TaylorSolution:
     n = reduced.order
     target = reduced.trunc_order
     table = transform_initial_conditions(reduced)
+    for var, row in enumerate(table, start=1):
+        for i, value in enumerate(row):
+            if not math.isfinite(value):
+                raise EvalFailure(var, 0, str(non_finite_coefficient(value, i)))
     # one extra coefficient beyond the target, for the error estimate
     rounds = target + 2 - n
     tape = _Tape(reduced, table, rounds)

@@ -459,6 +459,23 @@ class TestExitContract:
             "term 1000.0 in exp(u1@half)\n"
         )
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_overflowing_sum_of_terms_is_a_marching_error_at_every_order(
+        self, run, tmp_path, order
+    ):
+        # each term is finite and their sum is not; the coefficient at
+        # index 2 is refused where it is made, whether or not a later round
+        # or the truncated series reads it
+        path = tmp_path / "sum.fde"
+        path.write_text(
+            "order = 2\nvars = u\neq u'' = 1e308*u + 1e308*u\ninit u = [1, 0]\n"
+            "horizon = 1\ntaylor_order = 4\n"
+        )
+        code, out, err = run("solve", str(path), "--order", str(order))
+        assert (code, out, err) == (
+            3, "", "error: equation 1, marching index 0: non-finite coefficient inf at index 2\n"
+        )
+
     @pytest.mark.parametrize("module", ["taydel", "taydel.cli"])
     def test_module_entry_points_run_the_cli(self, fixtures_dir, module):
         src = Path(__file__).resolve().parent.parent / "src"
