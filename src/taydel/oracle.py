@@ -255,6 +255,13 @@ def integrate_reference(
         derivs.append(d1)
         inflight[0] = None
 
+    # an RK4 update keeps inf and NaN, so a non-finite node leaves the last
+    # one non-finite; only then is the first one looked for
+    if not all(map(math.isfinite, states[-1] + derivs[-1])):
+        first = next(
+            t for t, y, d in zip(times, states, derivs) if not all(map(math.isfinite, y + d))
+        )
+        raise OracleError(f"the reference solution is not finite at t = {first:g}")
     return DenseTrajectory(
         order=n,
         var_names=reduced.var_names,

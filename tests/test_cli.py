@@ -476,6 +476,14 @@ class TestExitContract:
             3, "", "error: equation 1, marching index 0: non-finite coefficient inf at index 2\n"
         )
 
+    def test_non_finite_reference_is_refused(self, run, tmp_path):
+        path = tmp_path / "cube.fde"
+        path.write_text(SCALAR.replace("u@half - u", "u*u*u").replace("[1]", "[10]"))
+        code, out, err = run("compare", str(path))
+        assert (code, out, err) == (
+            2, "", "error: the reference solution is not finite at t = 0.007\n"
+        )
+
     @pytest.mark.parametrize("module", ["taydel", "taydel.cli"])
     def test_module_entry_points_run_the_cli(self, fixtures_dir, module):
         src = Path(__file__).resolve().parent.parent / "src"

@@ -90,6 +90,13 @@ class TestIntegrate:
             integrate_reference(reduced, 1e-2, 1.0)
         assert "t = 1" in str(excinfo.value)
 
+    def test_blow_up_is_refused_with_its_first_time(self):
+        # u' = u^3 from 10 blows up at t = 0.005; RK4 reaches inf two steps later
+        reduced = plain_reduced("u1*u1*u1", init=10.0)
+        with pytest.raises(OracleError) as excinfo:
+            integrate_reference(reduced, 1e-3, 1.0)
+        assert str(excinfo.value) == "the reference solution is not finite at t = 0.007"
+
     def test_partial_final_step_lands_on_horizon(self):
         trajectory = integrate_reference(plain_reduced("u1"), 0.3, 1.0)
         assert trajectory.times[-1] == pytest.approx(1.0, abs=1e-12)
