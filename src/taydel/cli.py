@@ -337,6 +337,10 @@ def cmd_compare(args) -> int:
             f"--h {args.step!r} cuts [0, {b:g}] into {steps} reference steps, more than "
             f"the budget of {oracle.MAX_REFERENCE_STEPS}; use a larger --h"
         )
+    if not 2 <= args.samples <= oracle.MAX_COMPARE_SAMPLES:
+        raise UsageError(
+            f"--samples must lie in [2, {oracle.MAX_COMPARE_SAMPLES}], got {args.samples}"
+        )
     solution = engine.solve_reduced(reduced)
     estimate = engine.estimate_error(solution, b)
     trajectory = oracle.integrate_reference(reduced, args.step, b)

@@ -416,6 +416,11 @@ class TestExitContract:
             (["eval", "--at", "inf", "--unchecked"], "--at needs finite numbers, got inf"),
             (["eval", "--at", "0.1,nan"], "--at needs finite numbers, got nan"),
             (["compare", "--interval", "0,inf"], "--interval needs finite numbers, got inf"),
+            (["compare", "--samples", "1"], "--samples must lie in [2, 10000], got 1"),
+            (
+                ["compare", "--samples", "100000000"],
+                "--samples must lie in [2, 10000], got 100000000",
+            ),
         ],
     )
     def test_bad_flag_value_gets_one_line(self, run, tmp_path, argv, message):
