@@ -30,6 +30,14 @@ from .series import PowerTable, Record, Series
 # fixtures/example2.fde 0.1 s to reduce and 0.5 s to march at 1000.
 MAX_TRUNCATION_ORDER = 500
 
+# The most power-table work history substitution may take, refused before
+# any table is built: each time-varying delay the equations reference costs
+# one table of L = N + 2n + 3 coefficients and about L**3 operations.  The
+# budget is two tables of a first-order system at N = 500.  On one core of
+# an x86-64 Xeon (CPython 3.11) one such delay took 2.3 s and two 5.3 s;
+# four at N = 250 took 0.9 s and thirty at N = 100 0.8 s.
+MAX_HISTORY_TABLE_WORK = 2 * 505**3
+
 
 class ReducedSystem(Record):
     """System with proportional delays only; former constant and
@@ -130,8 +138,20 @@ def substitute_history(
             f"truncation order must be at most {MAX_TRUNCATION_ORDER}, got {target}"
         )
     leaf_order = target + 2 * n + 2
-    validity = validity or compute_validity(problem)
     specs = problem.delay_map()
+    varying = {
+        ref.delay
+        for equation in problem.equations
+        for ref in ex.iter_refs(equation)
+        if ref.delay is not None and isinstance(specs[ref.delay].law, TimeVaryingDelay)
+    }
+    allowed = MAX_HISTORY_TABLE_WORK // (leaf_order + 1) ** 3
+    if len(varying) > allowed:
+        raise ProblemError(
+            f"history substitution at truncation order {target} expands at most "
+            f"{allowed} time-varying delays, got {len(varying)}"
+        )
+    validity = validity or compute_validity(problem)
     # delay id -> _expansion of its argument
     expansions: dict[str, tuple[float, PowerTable | None]] = {}
     leaf_cache: dict[tuple[int, int, str], ex.KnownSeries] = {}

@@ -440,6 +440,23 @@ class TestExitContract:
         path.write_text(SCALAR.replace("taylor_order = 10", "taylor_order = 500"))
         assert run("solve", str(path), "--json")[0] == 0
 
+    def test_history_table_work_is_bounded(self, run, tmp_path):
+        # one power table of about N^3 work per time-varying delay: thirty
+        # at N = 500 would take about a minute, and are refused up front
+        delays = "".join(f"delay d{i} = vary({1 + i / 10} + t*t/{i + 2})\n" for i in range(30))
+        path = tmp_path / "lags.fde"
+        path.write_text(
+            "order = 1\nvars = u\n" + delays
+            + "eq u' = " + " + ".join(f"u@d{i}" for i in range(30)) + "\n"
+            + "phi u = exp(t/3)\ninit u = [1]\nhorizon = 1\ntaylor_order = 500\n"
+        )
+        code, out, err = run("solve", str(path))
+        assert (code, out, err) == (
+            2, "", "error: history substitution at truncation order 500 expands at most "
+            "2 time-varying delays, got 30\n",
+        )
+        assert run("solve", str(path), "--order", "20")[0] == 0
+
     def test_non_finite_evaluated_value_gets_one_line(self, run, fixtures_dir):
         code, out, err = run(
             "eval", fixture(fixtures_dir, "example2.fde"), "--at", "0.1,1e200", "--unchecked"
