@@ -3,9 +3,10 @@
 A series ``[c0, c1, ..., cN]`` represents ``c0 + c1*t + ... + cN*t**N``;
 index k holds the k-th Taylor coefficient.  ``Series`` is a checked value:
 finite double-precision coefficients, immutable after construction, with
-the argument transforms the solver needs.  Every coefficient rule (sums,
-Cauchy products, the elementary recurrences, compositions) runs on
-``Tape``, which ``expr`` lowers expressions onto.
+the argument transforms the solver needs (truncation, derivative shift,
+q**k scaling, evaluation).  Arithmetic between series (sums, Cauchy
+products, the elementary recurrences, compositions) runs only on ``Tape``,
+which ``expr`` lowers expressions onto.
 
 A known order is never silently extended: ``Series.truncated`` refuses
 padding, and ``expr.SeriesTape.lower`` refuses a known series shorter
