@@ -9,10 +9,13 @@ import math
 import sys
 from pathlib import Path
 
-from taydel import estimate_error, solve
-from taydel.problemfile import load_problem
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # run from a checkout without installing
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from taydel import estimate_error, solve  # noqa: E402
+from taydel.problemfile import load_problem  # noqa: E402
+
+FIXTURES = ROOT / "fixtures"
 
 
 def main() -> int:

@@ -9,11 +9,14 @@ import math
 import sys
 from pathlib import Path
 
-from taydel import ZeroPivotInconsistent, solve, solve_reduced, substitute_history
-from taydel.oracle import OracleRestriction, check_supported, compare, integrate_reference
-from taydel.problemfile import load_problem
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # run from a checkout without installing
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from taydel import ZeroPivotInconsistent, solve, solve_reduced, substitute_history  # noqa: E402
+from taydel.oracle import OracleRestriction, check_supported, compare, integrate_reference  # noqa: E402
+from taydel.problemfile import load_problem  # noqa: E402
+
+FIXTURES = ROOT / "fixtures"
 
 
 def show(problem_path: Path) -> None:

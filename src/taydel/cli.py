@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import engine
 from . import expr as ex
-from .problem import ProblemError, check_compatibility, check_h2, compute_validity
+from .problem import ProblemError, check_compatibility, check_h2, compute_validity, require_h2
 from .problemfile import load_problem
 from .reduce import ReducedSystem, substitute_history
 from .series import SeriesError
@@ -142,11 +142,16 @@ def _solution_text(var_names, coefficients, validity, estimate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+def _write(text: str, out: str | Path | None) -> None:
+    """Write to the file ``out``, or to stdout without one; a file that
+    cannot be written is a usage error that names it."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _warn(message: str) -> None:
@@ -174,14 +179,7 @@ def _reduce(args, path) -> ReducedSystem:
     """The pipeline every solving command shares: load, the H2 and
     compatibility checks, then history substitution."""
     problem = load_problem(path)
-    h2 = check_h2(problem)
-    if not h2.ok:
-        v = h2.violations[0]
-        raise ProblemError(
-            f"equation {problem.var_names[v.equation - 1]} references the top "
-            f"derivative of {problem.var_names[v.variable - 1]} through "
-            f"proportional delay {v.delay!r}"
-        )
+    require_h2(problem)
     compat = check_compatibility(problem)
     if not compat.ok:
         worst = max(
@@ -277,6 +275,13 @@ def cmd_solve(args) -> int:
         files = sorted(directory.glob("*.fde"))
         if not files:
             raise UsageError(f"no .fde files in {directory}")
+        if args.out:
+            try:
+                Path(args.out).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise UsageError(
+                    f"cannot make the output directory {args.out}: {exc.strerror or exc}"
+                ) from None
         worst = EXIT_OK
         for path in files:
             try:
@@ -286,9 +291,7 @@ def cmd_solve(args) -> int:
             worst = max(worst, code)
             if args.out:
                 suffix = ".json" if args.json else ".csv" if args.csv else ".txt"
-                target = Path(args.out) / (path.stem + suffix)
-                target.parent.mkdir(parents=True, exist_ok=True)
-                target.write_text(text)
+                _write(text, Path(args.out) / (path.stem + suffix))
             else:
                 sys.stdout.write(f"# {path.name}\n{text}")
         return worst

@@ -20,12 +20,12 @@ undetermined, and both cases are reported as distinct errors.
 from __future__ import annotations
 
 import math
-from functools import partial, reduce
-from itertools import repeat
+from functools import cache, reduce
+from itertools import accumulate, repeat
 from operator import add, mul
 
 from . import expr as ex
-from .problem import CauchyProblem, ProblemError, ProportionalDelay, ValidityInterval, check_h2
+from .problem import CauchyProblem, ValidityInterval, require_h2
 from .reduce import ReducedSystem, substitute_history
 from .series import Record, Series, SeriesError, monomial, non_finite_coefficient
 
@@ -168,80 +168,49 @@ def _product_factors(node: ex.Expr, sign: float = 1.0):
     return sign, [node], []
 
 
-def _is_neutral_ref(node: ex.Expr, order: int, ratios: dict[str, float]) -> bool:
-    return (
-        isinstance(node, ex.StateRef)
-        and node.deriv == order
-        and node.delay in ratios
-    )
-
-
-def _contains_neutral(node: ex.Expr, order: int, ratios: dict[str, float]) -> bool:
-    return any(
-        ref.deriv == order and ref.delay in ratios for ref in ex.iter_refs(node)
-    )
-
-
-def _contains_state(node: ex.Expr) -> bool:
-    return any(True for _ in ex.iter_refs(node))
-
-
 def _plan_equation(reduced: ReducedSystem, var: int) -> tuple[list, list]:
     """Split one right-hand side into ordinary terms (sign, term) and
     linear neutral-proportional terms (sign, state-free coefficient,
     ratio), rejecting unsupported shapes.  The coefficient is Const(1)
-    for a bare reference."""
+    for a bare reference.  A reduced system delays every top-order
+    reference proportionally, so each one is neutral."""
     n = reduced.order
-    ratios = {
-        d.id: d.law.ratio
-        for d in reduced.delays
-        if isinstance(d.law, ProportionalDelay)
-    }
-    equation = reduced.equations[var - 1]
-    plain: list[tuple[float, ex.Expr]] = []
-    neutral: list[tuple[float, ex.Expr, float]] = []
-    for sign, term in _additive_terms(equation):
-        if not _contains_neutral(term, n, ratios):
+
+    def neutral(node: ex.Expr) -> bool:
+        return any(ref.deriv == n for ref in ex.iter_refs(node))
+
+    plain, linear = [], []
+    for sign, term in _additive_terms(reduced.equations[var - 1]):
+        if not neutral(term):
             plain.append((sign, term))
             continue
         fsign, numerators, denominators = _product_factors(term, sign)
-        for den in denominators:
-            if _contains_neutral(den, n, ratios):
-                raise NonlinearNeutral(
-                    var,
-                    "top-order delayed reference inside a denominator: "
-                    f"{ex.pretty(term, reduced.var_names)}",
-                )
-        refs = [f for f in numerators if _is_neutral_ref(f, n, ratios)]
-        rest = [f for f in numerators if not _is_neutral_ref(f, n, ratios)]
-        if len(refs) != 1 or any(_contains_neutral(f, n, ratios) for f in rest):
+        refs = [f for f in numerators if neutral(f)]
+        rest = [f for f in numerators if not neutral(f)]
+        if any(map(neutral, denominators)):
+            shape = "inside a denominator"
+        elif len(refs) != 1 or not isinstance(refs[0], ex.StateRef):
+            shape = "in a nonlinear position"
+        elif any(next(ex.iter_refs(f), None) for f in rest + denominators):
+            shape = "multiplied by a state-dependent factor"
+        else:
+            shape = None
+        if shape:
             raise NonlinearNeutral(
                 var,
-                "top-order delayed reference in a nonlinear position: "
-                f"{ex.pretty(term, reduced.var_names)}",
-            )
-        if any(_contains_state(f) for f in rest + denominators):
-            raise NonlinearNeutral(
-                var,
-                "top-order delayed reference multiplied by a state-dependent "
-                f"factor: {ex.pretty(term, reduced.var_names)}",
+                f"top-order delayed reference {shape}: {ex.pretty(term, reduced.var_names)}",
             )
         ref = refs[0]
         if ref.var != var:
             raise NonlinearNeutral(
                 var,
-                f"top-order reference to another variable "
-                f"({ex.pretty(ref, reduced.var_names)}) under a proportional "
-                "delay",
+                f"top-order reference to another variable ({ex.pretty(ref, reduced.var_names)}) "
+                "under a proportional delay",
             )
         # rebuild the state-free coefficient as a plain product/quotient
-        coefficient: ex.Expr = ex.Const(1.0)
-        for f in rest:
-            coefficient = ex.Mul(coefficient, f)
-        for den in denominators:
-            coefficient = ex.Div(coefficient, den)
-        neutral.append((fsign, coefficient, ratios[ref.delay]))
-    return plain, neutral
+        coefficient = reduce(ex.Div, denominators, reduce(ex.Mul, rest, ex.Const(1.0)))
+        linear.append((fsign, coefficient, reduced.delay_map()[ref.delay].law.ratio))
+    return plain, linear
 
 
 # marching ------------------------------------------------------------------------
@@ -255,80 +224,53 @@ def transform_initial_conditions(problem: CauchyProblem | ReducedSystem) -> list
     ]
 
 
-def _state_step(reduced: ReducedSystem, specs, table, var: int, ref: ex.StateRef):
-    """The tape step of u^(d)(q t): coefficient k is q**k * (k+d)!/k! *
-    table[k+d], with q**k a running product.  Table entries were checked
-    where they were produced.  Not a ``_Tape`` method, so that a tape holds
-    no reference cycle and is freed when the march returns."""
-    if ref.delay is not None and not specs[ref.delay].proportional:
-        raise EngineError(
-            f"unreduced delayed reference {ex.pretty(ref, reduced.var_names)}"
-        )
-    if ref.deriv >= reduced.order:
-        raise NonlinearNeutral(
-            var,
-            "top-order delayed reference in a nonlinear position: "
-            f"{ex.pretty(ref, reduced.var_names)}",
-        )
-    row = table[ref.var - 1]
-    d = ref.deriv
-    shifted = (lambda k: math.perm(k + d, d) * row[k + d]) if d else row.__getitem__
-    if ref.delay is None:
-        return shifted
-    q = specs[ref.delay].law.ratio
-    q_powers = [1.0]
+def _lower(reduced: ReducedSystem, table, rounds: int) -> tuple[list[tuple], list[int]]:
+    """Plan every equation, then lower each onto an ``expr.SeriesTape``
+    whose state references read the coefficient table.  Returns per
+    equation (var, tape, plain, neutral, table row), with (sign, coefficients)
+    per ordinary term and (sign, coefficients, ratio powers) per neutral
+    term, and the scales (k+n)!/k! of rounds 0..rounds-1."""
+    plans = [_plan_equation(reduced, var) for var in range(1, reduced.num_vars + 1)]
+    time = tuple(1.0 if k == 1 else 0.0 for k in range(rounds))  # t
+    perms = cache(lambda d: [math.perm(k + d, d) for k in range(rounds)])  # (k+d)!/k!
+    # q**k as a running product, per delay
+    running = {
+        d.id: list(accumulate(repeat(d.law.ratio, rounds - 1), mul, initial=1.0))
+        for d in reduced.delays
+    }
 
-    def scaled(k):
-        if len(q_powers) <= k:
-            q_powers.append(q_powers[-1] * q)
-        return q_powers[k] * shifted(k)
+    def leaf(ref: ex.StateRef):
+        """u^(d)(q t): coefficient k is q**k * (k+d)!/k! * table[k+d]."""
+        row, d = table[ref.var - 1], ref.deriv
+        q = running.get(ref.delay)  # None for an undelayed reference
+        if not d:
+            return row.__getitem__ if q is None else lambda k: q[k] * row[k]
+        p = perms(d)
+        if q is None:
+            return lambda k: p[k] * row[k + d]
+        return lambda k: q[k] * (p[k] * row[k + d])
 
-    return scaled
-
-
-class _Tape:
-    """The right-hand sides of a reduced system, each lowered once into an
-    ``expr.SeriesTape`` whose state references read the coefficient
-    table.  Round k, for k below ``rounds``, appends coefficient k to every
-    node and derives the new coefficients at index k+n from them, folding
-    in the known part of neutral terms and dividing by their pivot.
-    """
-
-    def __init__(self, reduced: ReducedSystem, table, rounds: int):
-        self.time = tuple(1.0 if k == 1 else 0.0 for k in range(rounds))  # t
-        self.reduced = reduced
-        self.table = table
-        self.specs = reduced.delay_map()
-        self.perms: list[int] = []  # perms[j] = (j+n)!/j!
-        # every equation is planned before any is lowered
-        plans = [_plan_equation(reduced, var) for var in range(1, reduced.num_vars + 1)]
-        self.segments = [self._segment(var, plan) for var, plan in enumerate(plans, start=1)]
-
-    # lowering ------------------------------------------------------------------
-
-    def _segment(self, var: int, plan: tuple[list, list]) -> tuple:
-        """(var, tape, plain, neutral): the equation's nodes, (sign,
-        coefficients) per ordinary term and (sign, coefficients, ratio,
-        ratio powers) per neutral term."""
-        leaf = partial(_state_step, self.reduced, self.specs, self.table, var)
-        tape = ex.SeriesTape(self.time, leaf)
-        plain_terms, neutral_terms = plan
-        plain = [(sign, tape.lower(term)) for sign, term in plain_terms]
+    lowered = []
+    for var, (plain, linear) in enumerate(plans, start=1):
+        tape = ex.SeriesTape(time, leaf)
+        plain = [(sign, tape.lower(term)) for sign, term in plain]
         neutral = [
-            (sign, tape.lower(coefficient), ratio, [])
-            for sign, coefficient, ratio in neutral_terms
+            (sign, tape.lower(coefficient), [ratio**j for j in range(rounds)])
+            for sign, coefficient, ratio in linear
         ]
-        return var, tape, plain, neutral
+        lowered.append((var, tape, plain, neutral, table[var - 1]))
+    return lowered, perms(reduced.order)
 
-    # marching ------------------------------------------------------------------
 
-    def rhs(self, segment: tuple, k: int) -> tuple[float, float | None]:
-        """Append coefficient k to every node of one equation and return
-        the coefficient of t**k of its right-hand side; for neutral
-        equations also the pivot multiplying the unknown coefficient.
-        Contributions of neutral terms that reference known coefficients
-        are folded into the returned value."""
-        var, tape, plain, neutral = segment
+def _march_round(reduced: ReducedSystem, lowered, scales, k: int, pivot_log) -> list[float]:
+    """Round k of the march: append coefficient k to every node of every
+    equation and return the coefficients at index k+n of all variables,
+    each checked to be finite; rounds 0..k-1 must have run.  A neutral
+    equation folds in the neutral terms' known part, which reads table
+    entries k+n-1 down to n, and divides by their pivot."""
+    n = reduced.order
+    new = []
+    for var, tape, plain, neutral, row in lowered:
         try:
             tape.fill(k)
         except SeriesError as exc:
@@ -336,56 +278,30 @@ class _Tape:
         value = 0.0
         for sign, out in plain:
             value += sign * out[k]
-        if not neutral:
-            return value, None
-        n = self.reduced.order
-        perms = self._perms_through(k)
-        row = self.table[var - 1]
-        pivot = 1.0
-        for sign, coeff, ratio, powers in neutral:
-            while len(powers) <= k:
-                powers.append(ratio ** len(powers))
-            pivot -= sign * coeff[0] * powers[k]
-            if k:
-                # sum over l = 1..k of sign * coeff[l] * ratio**(k-l)
-                # * (k-l+n)!/(k-l)! * table[k-l+n], in increasing l
-                terms = map(mul, repeat(sign, k), coeff[1 : k + 1])
-                terms = map(mul, terms, powers[k - 1 :: -1])
-                terms = map(mul, terms, perms[k - 1 :: -1])
-                terms = map(mul, terms, row[k + n - 1 : n - 1 : -1])
-                value = reduce(add, terms, value)
-        return value, pivot
-
-    def _perms_through(self, k: int) -> list[int]:
-        perms = self.perms
-        while len(perms) <= k:
-            perms.append(math.perm(len(perms) + self.reduced.order, self.reduced.order))
-        return perms
-
-    def round(self, k: int, pivot_log=None) -> list[float]:
-        """The coefficients at index k+n of all variables, each checked to
-        be finite; rounds 0..k-1 must have run."""
-        scale = self._perms_through(k)[k]
-        new = []
-        for segment in self.segments:
-            var = segment[0]
-            value, pivot = self.rhs(segment, k)
-            if pivot is None:
-                value /= scale
-            else:
-                if pivot_log is not None:
-                    pivot_log.append(PivotEntry(var=var, k=k, pivot=pivot))
-                if abs(pivot) < PIVOT_TOLERANCE:
-                    label = self.reduced.var_names[var - 1]
-                    if abs(value) > RESIDUAL_TOLERANCE:
-                        raise ZeroPivotInconsistent(var, k, pivot, value, label)
-                    raise ZeroPivotUnderdetermined(var, k, pivot, value, label)
-                value /= scale * pivot
-            if not math.isfinite(value):
-                index = k + self.reduced.order
-                raise EvalFailure(var, k, str(non_finite_coefficient(value, index)))
-            new.append(value)
-        return new
+        scale = scales[k]
+        if neutral:
+            pivot = 1.0
+            for sign, coeff, powers in neutral:
+                pivot -= sign * coeff[0] * powers[k]
+                if k:
+                    # sum over l = 1..k of sign * coeff[l] * ratio**(k-l)
+                    # * (k-l+n)!/(k-l)! * table[k-l+n], in increasing l
+                    terms = map(mul, repeat(sign, k), coeff[1 : k + 1])
+                    terms = map(mul, terms, powers[k - 1 :: -1])
+                    terms = map(mul, terms, scales[k - 1 :: -1])
+                    terms = map(mul, terms, row[k + n - 1 : n - 1 : -1])
+                    value = reduce(add, terms, value)
+            pivot_log.append(PivotEntry(var=var, k=k, pivot=pivot))
+            if abs(pivot) < PIVOT_TOLERANCE:
+                inconsistent = abs(value) > RESIDUAL_TOLERANCE
+                failure = ZeroPivotInconsistent if inconsistent else ZeroPivotUnderdetermined
+                raise failure(var, k, pivot, value, reduced.var_names[var - 1])
+            scale = scale * pivot
+        value /= scale
+        if not math.isfinite(value):
+            raise EvalFailure(var, k, str(non_finite_coefficient(value, k + n)))
+        new.append(value)
+    return new
 
 
 def solve(problem: CauchyProblem, *, trunc_order: int | None = None) -> TaylorSolution:
@@ -395,15 +311,7 @@ def solve(problem: CauchyProblem, *, trunc_order: int | None = None) -> TaylorSo
     On a marching failure the raised error carries the coefficients
     computed so far.
     """
-    h2 = check_h2(problem)
-    if not h2.ok:
-        first = h2.violations[0]
-        raise ProblemError(
-            f"equation {first.equation} references the top derivative of "
-            f"variable {first.variable} through proportional delay "
-            f"{first.delay!r}; cross-variable top-order delayed references "
-            "are unsupported"
-        )
+    require_h2(problem)
     target = trunc_order if trunc_order is not None else problem.trunc_order
     reduced = substitute_history(problem, trunc_order=target)
     return solve_reduced(reduced)
@@ -420,11 +328,11 @@ def solve_reduced(reduced: ReducedSystem) -> TaylorSolution:
                 raise EvalFailure(var, 0, str(non_finite_coefficient(value, i)))
     # one extra coefficient beyond the target, for the error estimate
     rounds = target + 2 - n
-    tape = _Tape(reduced, table, rounds)
+    lowered, scales = _lower(reduced, table, rounds)
     pivot_log: list[PivotEntry] = []
     try:
         for k in range(rounds):
-            for row, value in zip(table, tape.round(k, pivot_log)):
+            for row, value in zip(table, _march_round(reduced, lowered, scales, k, pivot_log)):
                 row.append(value)
     except ZeroPivot as exc:
         exc.partial_coeffs = tuple(tuple(row) for row in table)

@@ -73,16 +73,9 @@ def _hermite_weights(t0, h, t):
 
 
 def check_supported(reduced: ReducedSystem) -> None:
-    n = reduced.order
-    specs = reduced.delay_map()
     for var, equation in enumerate(reduced.equations, start=1):
         for ref in ex.iter_refs(equation):
-            if ref.delay is not None and not specs[ref.delay].proportional:
-                raise OracleRestriction(
-                    f"equation {var}: unreduced delayed reference "
-                    f"{ex.pretty(ref, reduced.var_names)}"
-                )
-            if ref.deriv >= n:
+            if ref.deriv >= reduced.order:
                 raise OracleRestriction(
                     f"equation {var}: top-order delayed reference "
                     f"{ex.pretty(ref, reduced.var_names)} is outside the "

@@ -21,6 +21,15 @@ BISECTION_ITERATIONS = 80
 ROOT_TOLERANCE = 1e-10
 COMPATIBILITY_TOLERANCE = 1e-9
 
+# The largest system order n, refused before any work.  The march scales
+# coefficient k+n by (k+n)!/k!, a history leaf of derivative d its
+# coefficient k by (k+d)!/k! up to k = N + 2n + 2, and the compatibility
+# check derivative k by k!, each converted to a double.  At N = 500 a
+# top-order constant-lag history leaf solved at n = 106 and overflowed at
+# 107, a proportional delay alone solved at 115 and overflowed at 118, and
+# the compatibility check overflows from n = 172 at any N.
+MAX_SYSTEM_ORDER = 100
+
 
 class ProblemError(ValueError):
     """Invalid problem data or a failed derived-quantity computation."""
@@ -89,6 +98,8 @@ class CauchyProblem(Record):
         n, p = self.order, len(self.var_names)
         if n < 1:
             raise ProblemError(f"system order must be at least 1, got {n}")
+        if n > MAX_SYSTEM_ORDER:
+            raise ProblemError(f"system order must be at most {MAX_SYSTEM_ORDER}, got {n}")
         if p < 1:
             raise ProblemError("at least one variable is required")
         if len(self.equations) != p:
@@ -338,3 +349,16 @@ def check_h2(problem: CauchyProblem) -> H2Report:
                 H2Violation(equation=eq_index, variable=ref.var, delay=ref.delay)
             )
     return H2Report(violations=tuple(violations))
+
+
+def require_h2(problem: CauchyProblem) -> None:
+    """Refuse the first H2 violation ``check_h2`` reports, naming the
+    variables."""
+    h2 = check_h2(problem)
+    if not h2.ok:
+        v = h2.violations[0]
+        raise ProblemError(
+            f"equation {problem.var_names[v.equation - 1]} references the top "
+            f"derivative of {problem.var_names[v.variable - 1]} through "
+            f"proportional delay {v.delay!r}"
+        )

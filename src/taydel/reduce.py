@@ -43,7 +43,8 @@ class ReducedSystem(Record):
     """System with proportional delays only; former constant and
     time-dependent delayed terms are known-series leaves built to order
     ``trunc_order + order`` at least, leaving headroom for derivative
-    shifts during coefficient marching."""
+    shifts during coefficient marching.  Construction checks every state
+    reference once (``expr.analyze``); the march and the oracle rely on it."""
 
     order: int
     var_names: tuple[str, ...]
@@ -52,6 +53,20 @@ class ReducedSystem(Record):
     init: tuple[tuple[float, ...], ...]
     trunc_order: int
     validity: ValidityInterval
+
+    def __post_init__(self):
+        for spec in self.delays:
+            if not spec.proportional:
+                raise ex.StructureError(
+                    f"delay {spec.id!r} is not proportional; a reduced system "
+                    "keeps only proportional delays"
+                )
+        ex.analyze(
+            self.equations,
+            order=self.order,
+            num_vars=self.num_vars,
+            delays={spec.id: True for spec in self.delays},
+        )
 
     @property
     def num_vars(self) -> int:

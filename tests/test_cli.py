@@ -429,6 +429,48 @@ class TestExitContract:
         code, out, err = run(argv[0], str(path), *argv[1:])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_unwritable_out_gets_one_line(self, run, tmp_path, fixtures_dir):
+        taken = tmp_path / "taken.txt"
+        taken.write_text("")
+        code, out, err = run("solve", str(fixtures_dir), "--all", "--out", str(taken))
+        assert (code, out, err) == (
+            2, "", f"error: cannot make the output directory {taken}: File exists\n"
+        )
+        path = tmp_path / "scalar.fde"
+        path.write_text(SCALAR)
+        missing = tmp_path / "missing" / "x.txt"
+        for argv in (["solve"], ["eval", "--at", "0.1"]):
+            code, out, err = run(argv[0], str(path), *argv[1:], "--out", str(missing))
+            assert (code, out, err) == (
+                2, "", f"error: cannot write {missing}: No such file or directory\n"
+            )
+
+    def test_system_order_is_bounded(self, run, tmp_path):
+        # the march scales coefficient k+n by (k+n)!/k! as a double: at
+        # N = 500 order 120 overflowed it and exited 1 with a traceback
+        def write(n, rhs="u@h"):
+            path = tmp_path / f"order{n}.fde"
+            path.write_text(
+                f"order = {n}\nvars = u\ndelay h = proportional(1/2)\ndelay c = constant(1)\n"
+                f"eq u{chr(39) * n} = {rhs}\nphi u = 1\n"
+                f"init u = [{', '.join(['1'] + ['0'] * (n - 1))}]\nhorizon = 1\n"
+                "taylor_order = 500\n"
+            )
+            return str(path)
+
+        at_bound = write(100)
+        assert run("info", at_bound)[0] == 0
+        assert run("solve", at_bound)[0] == 0
+        # the worst case measured: a top-order constant-lag history leaf
+        assert run("solve", write(100, rhs="u" + "'" * 100 + "@c"))[0] == 0
+        for n in (101, 120):
+            path = write(n)
+            for argv in (["info"], ["solve"], ["eval", "--at", "0.1"], ["compare"]):
+                code, out, err = run(argv[0], path, *argv[1:])
+                assert (code, out, err) == (
+                    2, "", f"error: order{n}.fde: system order must be at most 100, got {n}\n"
+                )
+
     def test_truncation_order_in_the_file_is_bounded(self, run, tmp_path):
         path = tmp_path / "huge.fde"
         path.write_text(SCALAR.replace("taylor_order = 10", "taylor_order = 100000"))
@@ -716,3 +758,13 @@ def test_mutated_fixtures_keep_the_exit_contract(text):
             assert code in range(5), (command, code)
             if code:
                 assert err.getvalue().count("error: ") <= 1, err.getvalue()
+
+
+def test_readme_problem_file_example_parses(run, tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```\n(# comments run to end of line\n.*?)```", readme, re.S)
+    path = tmp_path / "readme.fde"
+    path.write_text(block.group(1))
+    code, out, err = run("info", str(path))
+    assert (code, err) == (0, "")
+    assert "neutral: yes" in out

@@ -163,6 +163,18 @@ class TestSolve:
         with pytest.raises(ProblemError):
             solve(problem)
 
+    def test_h2_refusal_reads_as_the_cli_s(self):
+        problem = parse_problem(
+            "order = 1\nvars = u, v\ndelay half = proportional(1/2)\n"
+            "eq u' = v'@half + u\neq v' = u\ninit u = [1]\ninit v = [0]\n"
+            "horizon = 1\ntaylor_order = 6\n"
+        )
+        with pytest.raises(ProblemError) as excinfo:
+            solve(problem)
+        assert str(excinfo.value) == (
+            "equation u references the top derivative of v through proportional delay 'half'"
+        )
+
 
 class TestNeutralHandling:
     def test_contraction_keeps_solution_constant(self):

@@ -206,3 +206,49 @@ def test_constant_lag_leaf_is_bit_identical_to_the_composition():
             assert "-0.0" in repr(shifted)
         leaf = history_leaf(parse_expression(phi_text), deriv, argument, 6)
         assert repr(leaf) == repr(PowerTable(inner, 7).compose(shifted.coeffs))
+
+
+class TestReducedSystemChecksItsReferences:
+    """A reduced system built by hand is refused at construction when a
+    reference could not be marched; the CLI maps the refusal to exit 2."""
+
+    @staticmethod
+    def with_first_equation(fixtures_dir, ref, delays=()):
+        reduced = substitute_history(load_problem(fixtures_dir / "example1.fde"))
+        return reduced._replace(
+            equations=(ex.Add(ref, ex.Const(1.0)),) + reduced.equations[1:],
+            delays=reduced.delays + tuple(delays),
+        )
+
+    def refused(self, fixtures_dir, capsys, ref, delays=()) -> str:
+        from taydel.cli import _exit_code
+
+        with pytest.raises(ex.StructureError) as excinfo:
+            self.with_first_equation(fixtures_dir, ref, delays)
+        assert _exit_code(excinfo.value) == 2
+        return capsys.readouterr().err
+
+    def test_variable_index_zero(self, fixtures_dir, capsys):
+        # index 0 read the last variable's row through table[-1]
+        err = self.refused(fixtures_dir, capsys, ex.StateRef(0, 0))
+        assert err == "error: equation 1: variable index 0 out of range 1..3\n"
+
+    def test_undeclared_delay(self, fixtures_dir, capsys):
+        err = self.refused(fixtures_dir, capsys, ex.StateRef(2, 0, "quarter"))
+        assert err == "error: equation 1: undeclared delay 'quarter'\n"
+
+    def test_unreduced_delay(self, fixtures_dir, capsys):
+        lag = DelaySpec("two", ConstantDelay(2.0))
+        err = self.refused(fixtures_dir, capsys, ex.StateRef(2, 0, "two"), [lag])
+        assert err == (
+            "error: delay 'two' is not proportional; a reduced system keeps only "
+            "proportional delays\n"
+        )
+
+    def test_undelayed_top_order_reference(self, fixtures_dir, capsys):
+        err = self.refused(fixtures_dir, capsys, ex.StateRef(1, 1))
+        assert err == (
+            "error: equation 1: undelayed derivative order must be below the "
+            "system order 1\n"
+        )
+
