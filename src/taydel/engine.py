@@ -233,7 +233,7 @@ def _lower(reduced: ReducedSystem, table, rounds: int) -> tuple[list[tuple], lis
     plans = [_plan_equation(reduced, var) for var in range(1, reduced.num_vars + 1)]
     time = tuple(1.0 if k == 1 else 0.0 for k in range(rounds))  # t
     perms = cache(lambda d: [math.perm(k + d, d) for k in range(rounds)])  # (k+d)!/k!
-    # q**k as a running product, per delay
+    # q**k as a running product per delay; neutral terms use ratio**k, not bit-equal to it
     running = {
         d.id: list(accumulate(repeat(d.law.ratio, rounds - 1), mul, initial=1.0))
         for d in reduced.delays
@@ -251,12 +251,12 @@ def _lower(reduced: ReducedSystem, table, rounds: int) -> tuple[list[tuple], lis
         return lambda k: q[k] * (p[k] * row[k + d])
 
     lowered = []
-    for var, (plain, linear) in enumerate(plans, start=1):
+    for var, (plain_terms, neutral_terms) in enumerate(plans, start=1):
         tape = ex.SeriesTape(time, leaf)
-        plain = [(sign, tape.lower(term)) for sign, term in plain]
+        plain = [(sign, tape.lower(term)) for sign, term in plain_terms]
         neutral = [
             (sign, tape.lower(coefficient), [ratio**j for j in range(rounds)])
-            for sign, coefficient, ratio in linear
+            for sign, coefficient, ratio in neutral_terms
         ]
         lowered.append((var, tape, plain, neutral, table[var - 1]))
     return lowered, perms(reduced.order)
