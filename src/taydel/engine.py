@@ -117,7 +117,6 @@ class ErrorEstimate(Record):
 
     trunc_order: int
     delta: float
-    k_hat: tuple[float | None, ...]
     bound: tuple[float | None, ...]
 
 
@@ -354,30 +353,22 @@ def estimate_error(solution: TaylorSolution, delta: float) -> ErrorEstimate:
             f"delta must lie in (0, {solution.validity.upper:g}], got {delta!r}"
         )
     target = solution.trunc_order
-    k_hats: list[float | None] = []
     bounds: list[float | None] = []
     for series, tail in zip(solution.series, solution.tail):
-        first_truncated = abs(tail)
+        first_truncated, last_kept = abs(tail), abs(series.coeffs[target])
+        ratio = first_truncated / last_kept if last_kept else math.inf
         if first_truncated == 0.0:
-            k_hats.append(0.0)
             bounds.append(0.0)
-            continue
-        last_kept = abs(series.coeffs[target])
-        if last_kept == 0.0:
-            k_hats.append(None)
+        elif ratio * delta >= 1.0:
             bounds.append(None)
-            continue
-        ratio = first_truncated / last_kept
-        if ratio * delta >= 1.0:
-            k_hats.append(None)
-            bounds.append(None)
-            continue
-        guard = 1.0 / (1.0 - ratio * delta)
-        k_hats.append(math.factorial(target + 1) * first_truncated * guard)
-        bounds.append(first_truncated * guard * delta ** (target + 1))
-    return ErrorEstimate(
-        trunc_order=target, delta=delta, k_hat=tuple(k_hats), bound=tuple(bounds)
-    )
+        else:
+            guard = 1.0 / (1.0 - ratio * delta)
+            try:
+                bounds.append(first_truncated * guard * delta ** (target + 1))
+            except OverflowError:  # delta**(N+1) alone is past a double, about e**709.78
+                log_bound = math.log(first_truncated * guard) + (target + 1) * math.log(delta)
+                bounds.append(math.exp(log_bound) if log_bound < 709.78 else None)
+    return ErrorEstimate(trunc_order=target, delta=delta, bound=tuple(bounds))
 
 
 def evaluate_solution(

@@ -18,9 +18,10 @@ derivative order, and an optional ``@id`` naming a declared delay, e.g.
 ``u2``, ``u1''`` or ``u1'''@a1``.  Parsed trees are immutable; constant
 subexpressions of the arithmetic operators are folded at parse time.
 
-A tree is evaluated by lowering it once: into float closures
-(``compile_numeric``) or onto the coefficient tape of ``series``, which
-extends each node's coefficients by one index per round (``SeriesTape``).
+A tree is evaluated by lowering it once: into one generated straight-line
+float function per list of trees (``compile_numeric``), or onto the
+coefficient tape of ``series``, which extends each node's coefficients by
+one index per round (``SeriesTape``).
 """
 
 from __future__ import annotations
@@ -50,7 +51,11 @@ class StructureError(ValueError):
 
 class EvaluationError(ValueError):
     """Numeric evaluation hit a domain error (division by zero, log of a
-    nonpositive value, fractional power of a negative base)."""
+    nonpositive value, fractional power of a negative base).  ``index`` is
+    the position of the failed tree among those ``compile_numeric`` lowered
+    together."""
+
+    index = 0
 
 
 # AST ------------------------------------------------------------------------
@@ -649,98 +654,102 @@ def time_series(order: int) -> Series:
     return monomial(1, order)
 
 
+def _fail(template: str, node: Expr, index: int, t: float, x=None):
+    """Raise ``template`` filled in for a failed guard on ``node``, in the
+    ``index``-th tree compiled together: ``x`` is the guarded argument or the
+    exception a power raised.  Only here does a compiled tree run ``pretty``."""
+    error = EvaluationError(template.format(node=pretty(node), t=t, x=x))
+    error.index = index
+    raise error from None
+
+
 def compile_numeric(
-    node: Expr,
-    leaf: Callable[[StateRef], Callable[[float, object], float]] | None = None,
-) -> Callable[[float, object], float]:
-    """Lower the tree once into nested closures ``f(t, env) -> float``.
-    ``leaf`` gives the closure of each state reference, which receives
-    ``env`` untouched; without it, evaluating a reference is an error."""
-    if isinstance(node, Const):
-        value = node.value
-        return lambda t, env: value
-    if isinstance(node, Time):
-        return lambda t, env: t
-    if isinstance(node, KnownSeries):
-        evaluate = node.series.evaluate
-        return lambda t, env: evaluate(t)
-    if isinstance(node, StateRef):
-        if leaf is not None:
-            return leaf(node)
+    nodes: Sequence[Expr],
+    leaf: Callable[[StateRef], tuple[str, int]] | None = None,
+) -> Callable[[float, object, object], tuple]:
+    """Lower a list of trees once into one straight-line function
+    ``f(t, y, dv) -> tuple``, one float per tree, by ``exec``: one statement
+    and temporary per operator node, so no generated expression nests.  A
+    left operand runs before the right one, a quotient's denominator before
+    its zero test and numerator; a test a constant settles is left out.
+    ``leaf(ref)`` says where the value of a state reference lives, ``("y",
+    i)`` or ``("dv", i)`` for ``y[i]`` or ``dv[i]``; without it, evaluating
+    a reference is an error.  Constants, series and the nodes that error
+    texts name are bound as names of the function's globals, not literals."""
+    scope = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log,
+             "power_errors": (ValueError, ZeroDivisionError, OverflowError),
+             "math_errors": (OverflowError, ValueError)}
+    body: list[str] = []
+    at = " in {node} at t={t:g}"
 
-        def refused(t, env):
-            raise EvaluationError(
-                f"state reference {pretty(node)} not allowed in this context"
-            )
-        return refused
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        left = compile_numeric(node.left, leaf)
-        right = compile_numeric(node.right, leaf)
-        if isinstance(node, Add):
-            return lambda t, env: left(t, env) + right(t, env)
-        if isinstance(node, Sub):
-            return lambda t, env: left(t, env) - right(t, env)
-        if isinstance(node, Mul):
-            return lambda t, env: left(t, env) * right(t, env)
+    def bind(value) -> str:
+        name = f"g{len(scope)}"
+        scope[name] = value
+        return name
 
-        def divide(t, env):
-            denom = right(t, env)
-            if denom == 0.0:
-                raise EvaluationError(f"division by zero in {pretty(node)} at t={t:g}")
-            return left(t, env) / denom
-        return divide
-    if isinstance(node, Neg):
-        operand = compile_numeric(node.operand, leaf)
-        return lambda t, env: -operand(t, env)
-    if isinstance(node, Pow):
-        base, exponent = compile_numeric(node.base, leaf), node.exponent
+    def assign(text: str) -> str:
+        name = f"v{len(body)}"
+        body.append(f"{name} = {text}")
+        return name
 
-        def power(t, env):
-            x = base(t, env)
-            try:
-                value = x**exponent
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise EvaluationError(f"{exc} in {pretty(node)} at t={t:g}") from None
-            if isinstance(value, complex):
-                raise EvaluationError(
-                    f"fractional power of negative base in {pretty(node)} at t={t:g}"
-                )
-            return value
-        return power
-    if isinstance(node, Func):
-        arg = compile_numeric(node.arg, leaf)
+    def lower(node: Expr, index: int) -> str:
+        def fail(template: str, *args: str) -> str:
+            return f"{bind(partial(_fail, template, node, index))}({', '.join(('t',) + args)})"
+
+        if isinstance(node, Const):
+            return bind(node.value)
+        if isinstance(node, Time):
+            return "t"
+        if isinstance(node, KnownSeries):
+            return assign(f"{bind(node.series.evaluate)}(t)")
+        if isinstance(node, StateRef):
+            if leaf is None:
+                return assign(fail("state reference {node} not allowed in this context"))
+            array, i = leaf(node)
+            return f"{array}[{i:d}]"
+        if isinstance(node, (Add, Sub, Mul)):
+            a, op = lower(node.left, index), {Add: "+", Sub: "-", Mul: "*"}[type(node)]
+            return assign(f"{a} {op} {lower(node.right, index)}")
+        if isinstance(node, Neg):
+            return assign(f"-{lower(node.operand, index)}")
+        if isinstance(node, Div):
+            b = lower(node.right, index)
+            if not (isinstance(node.right, Const) and node.right.value):  # else never zero
+                body.append(f"if {b} == 0.0: " + fail("division by zero" + at))
+            return assign(f"{lower(node.left, index)} / {b}")
+        if isinstance(node, Pow):
+            a, out = lower(node.base, index), f"v{len(body)}"
+            body.append(f"try: {out} = {a} ** {bind(node.exponent)}")
+            body.append("except power_errors as e: " + fail("{x}" + at, "e"))
+            if not float(node.exponent).is_integer():  # else never complex
+                body.append(f"if isinstance({out}, complex): "
+                            + fail("fractional power of negative base" + at))
+            return out
+        if not isinstance(node, Func):
+            raise TypeError(f"not an expression node: {node!r}")
+        if node.fn not in FUNCTIONS:
+            raise EvaluationError(f"unknown function {node.fn!r}")
+        a = lower(node.arg, index)
         if node.fn == "ln":
-            def ln(t, env):
-                x = arg(t, env)
-                if x <= 0.0:
-                    raise EvaluationError(
-                        f"ln of nonpositive value {x:g} in {pretty(node)} at t={t:g}"
-                    )
-                return math.log(x)
-            return ln
-        if node.fn in ("exp", "sin", "cos"):
-            fn = getattr(math, node.fn)
-            # exp overflows past about 709.78; sin and cos refuse infinity
-            failure = "overflows at" if node.fn == "exp" else "of non-finite"
+            body.append(f"if {a} <= 0.0: " + fail("ln of nonpositive value {x:g}" + at, a))
+            return assign(f"log({a})")
+        # exp overflows past about 709.78; sin and cos refuse infinity
+        failure = "overflows at" if node.fn == "exp" else "of non-finite"
+        out = f"v{len(body)}"
+        body.append(f"try: {out} = {node.fn}({a})")
+        body.append("except math_errors: " + fail(f"{node.fn} {failure} argument {{x:g}}{at}", a))
+        return out
 
-            def elementary(t, env):
-                x = arg(t, env)
-                try:
-                    return fn(x)
-                except (OverflowError, ValueError):
-                    raise EvaluationError(
-                        f"{node.fn} {failure} argument {x:g} in {pretty(node)} at t={t:g}"
-                    ) from None
-            return elementary
-        raise EvaluationError(f"unknown function {node.fn!r}")
-    raise TypeError(f"not an expression node: {node!r}")
+    outputs = [lower(node, index) for index, node in enumerate(nodes)]
+    body.append(f"return ({', '.join(outputs)},)")
+    exec("def f(t, y, dv):\n    " + "\n    ".join(body), scope)
+    return scope.pop("f")  # no cycle through the function's own globals
 
 
-def eval_numeric(
-    node: Expr,
-    t: float,
-    resolve: Callable[[StateRef], float] | None = None,
-) -> float:
-    """Evaluate the tree at a single time value."""
-    leaf = None if resolve is None else (lambda ref: lambda t, env: resolve(ref))
-    return compile_numeric(node, leaf)(t, None)
+def eval_numeric(node: Expr, t: float, resolve: Callable[[StateRef], float] | None = None) -> float:
+    """Evaluate the tree at a single time value; ``resolve`` gives the value
+    of each distinct state reference, asked once the tree is compiled."""
+    slots: dict[StateRef, int] = {}
+    leaf = None if resolve is None else (lambda ref: ("y", slots.setdefault(ref, len(slots))))
+    compiled = compile_numeric([node], leaf)
+    return compiled(t, [resolve(ref) for ref in slots], None)[0]

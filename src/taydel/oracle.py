@@ -7,7 +7,9 @@ lookups u^(d)(q*t) with d <= n-1 are served from the dense trajectory
 already computed (they always point backwards since q < 1), so the
 integrator needs no knowledge of the recurrence solver it validates.
 Each right-hand-side evaluation computes them once per (ratio, component),
-and stages at the same time share them.
+and stages at the same time share them.  The right-hand sides and the
+derivative shifts of the first-order form run as one function that
+``expr.compile_numeric`` generates per system, one call per evaluation.
 Top-order references under a proportional delay are outside this
 integrator's scope and are rejected up front.
 """
@@ -88,6 +90,8 @@ def reference_steps(step_size: float, horizon: float) -> int:
     possibly shorter."""
     if not step_size > 0:
         raise OracleError(f"step size must be positive, got {step_size!r}")
+    if step_size == math.inf:
+        raise OracleError(f"step size must be finite, got {step_size!r}")
     if not math.isfinite(horizon / step_size):
         raise OracleError(f"step size {step_size!r} cuts [0, {horizon:g}] into too many steps")
     return max(1, math.ceil(round(horizon / step_size, 9)))
@@ -119,7 +123,6 @@ def integrate_reference(
     check_supported(reduced)
     n = reduced.order
     p = reduced.num_vars
-    dim = n * p
     specs = reduced.delay_map()
 
     times: list[float] = [0.0]
@@ -137,20 +140,24 @@ def integrate_reference(
     groups: dict[float, list[tuple[int, int]]] = {}
     uses: dict[float, int] = {}
 
-    def leaf(ref: ex.StateRef):
-        # the closures read env = (state vector, delayed values)
+    def leaf(ref: ex.StateRef) -> tuple[str, int]:
+        # the generated function reads y, the state, and dv, the delayed values
         component = (ref.var - 1) * n + ref.deriv
         if ref.delay is None:
-            return lambda t, env: env[0][component]
+            return "y", component
         ratio = specs[ref.delay].law.ratio
         slot = slots.get((ratio, component))
         if slot is None:
             slot = slots[ratio, component] = len(slots)
             groups.setdefault(ratio, []).append((slot, component))
         uses[ratio] = uses.get(ratio, 0) + 1
-        return lambda t, env: env[1][slot]
+        return "dv", slot
 
-    lowered = [ex.compile_numeric(equation, leaf) for equation in reduced.equations]
+    # per variable, the shifts u^(d)' = u^(d+1) for d < n-1, then its equation
+    generated = ex.compile_numeric([
+        row for j, equation in enumerate(reduced.equations, start=1)
+        for row in [*(ex.StateRef(j, d + 1) for d in range(n - 1)), equation]
+    ], leaf)
     # the delayed values depend on (t, stage limit, step in progress) only,
     # which RK4's k2 and k3, and k4 and the end-of-step slope, share; a
     # reuse still counts the extrapolations the values took
@@ -197,17 +204,10 @@ def integrate_reference(
         return values
 
     def rhs(t: float, y, stage_limit: float) -> tuple[float, ...]:
-        env = (y, delayed(t, stage_limit))
-        out = [0.0] * dim
-        for j, equation in enumerate(lowered):
-            base = j * n
-            for d in range(n - 1):
-                out[base + d] = y[base + d + 1]
-            try:
-                out[base + n - 1] = equation(t, env)
-            except ex.EvaluationError as exc:
-                raise OracleError(f"equation {j + 1} at t = {t:g}: {exc}") from None
-        return tuple(out)
+        try:
+            return generated(t, y, delayed(t, stage_limit))
+        except ex.EvaluationError as exc:
+            raise OracleError(f"equation {exc.index // n + 1} at t = {t:g}: {exc}") from None
 
     def rk4_step(t0: float, y0: tuple[float, ...], h: float, k1):
         limit = t0 + h

@@ -182,11 +182,11 @@ class ValidityInterval(Record):
 
 def _lag_function(law: TimeVaryingDelay):
     """The lag as a function of t, lowered once for scan and bisection."""
-    lag = ex.compile_numeric(law.lag)
+    lag = ex.compile_numeric([law.lag])
 
     def value(t: float) -> float:
         try:
-            return lag(t, None)
+            return lag(t, None, None)[0]
         except ex.EvaluationError as exc:
             raise ProblemError(f"delay law evaluation failed: {exc}") from None
     return value

@@ -405,6 +405,7 @@ class TestExitContract:
             ),
             (["eval", "--at", "x"], "--at needs comma-separated numbers, got 'x'"),
             (["compare", "--h", "nan"], "step size must be positive, got nan"),
+            (["compare", "--h", "inf"], "step size must be finite, got inf"),
             (["solve", "--order", "0"], "truncation order must be at least 1, got 0"),
             (["compare", "--order", "0"], "truncation order must be at least 1, got 0"),
             (["solve", "--order", "100000"], "truncation order must be at most 500, got 100000"),
@@ -547,6 +548,27 @@ class TestExitContract:
         assert (code, out, err) == (
             2, "", "error: the reference solution is not finite at t = 0.007\n"
         )
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_bound_past_order_169_is_printed(self, run, tmp_path, command):
+        # 170! is the first factorial past a double; the bound never needs one
+        path = tmp_path / "square.fde"
+        path.write_text(SCALAR.replace("u@half - u", "u*u").replace("[1]", "[0.5]"))
+        for order in ("169", "170", "500"):
+            code, out, err = run(command, str(path), "--order", order)
+            assert (code, err) == (0, "")
+            assert re.search(r"\bu.*[0-9]e-[0-9]+$", out.splitlines()[-1])
+
+    def test_bound_whose_power_of_delta_overflows_is_printed(self, run, tmp_path):
+        # 900**105 is past a double, but the bound itself is about 1.6e-7
+        path = tmp_path / "slow.fde"
+        path.write_text(
+            SCALAR.replace("u@half - u", "u*u").replace("[1]", "[0.001]")
+            .replace("horizon = 1", "horizon = 900").replace("= 10", "= 104")
+        )
+        code, out, err = run("solve", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "error bound on [0, 900]: u=1.5684042572215676e-07"
 
     @pytest.mark.parametrize("module", ["taydel", "taydel.cli"])
     def test_module_entry_points_run_the_cli(self, fixtures_dir, module):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from taydel.expr import (
     Sub,
     analyze,
     compile_numeric,
+    depth,
     eval_numeric,
     eval_series,
     iter_refs,
@@ -28,6 +31,7 @@ from taydel.expr import (
     time_series,
 )
 from taydel.problem import ConstantDelay, ProblemError, ValidityInterval
+from taydel.problemfile import MAX_EXPRESSION_DEPTH
 from taydel.series import Series, SeriesDomainError, exp_linear, monomial
 
 VARS = ("u1", "u2", "u3")
@@ -323,11 +327,18 @@ class TestCompileNumeric:
             ),
             ("sin(t) * cos(t) - (1 + t)^(1/3)", 0.3, -0.8090716463635883),
             ("u1' + 1", 0.0, 42.0),
+            # tests a constant settles: a zero constant denominator still
+            # fails, an integral power of a negative base is real
+            ("t/0", 1.0, "division by zero in t / 0 at t=1"),
+            ("(t - 2)^2", 1.0, 1.0),
+            ("(t - 2)^(-2)", 2.0, "0.0 cannot be raised to a negative power in (t - 2)^-2 at t=2"),
+            # the left operand fails first
+            ("1/(t - 1) + ln(t - 2)", 1.0, "division by zero in 1 / (t - 1) at t=1"),
         ],
     )
-    def test_closure_agrees_with_eval_numeric(self, text, t, expected):
+    def test_compiled_agrees_with_eval_numeric(self, text, t, expected):
         node = parse(text)
-        compiled = compile_numeric(node, lambda ref: lambda t, env: 41.0)
+        compiled = compile_numeric([node], lambda ref: ("y", 0))
 
         def outcome(evaluate):
             try:
@@ -335,21 +346,58 @@ class TestCompileNumeric:
             except EvaluationError as exc:
                 return str(exc)
 
-        assert outcome(lambda: compiled(t, None)) == expected
+        assert outcome(lambda: compiled(t, [41.0], None)[0]) == expected
         assert outcome(lambda: eval_numeric(node, t, lambda ref: 41.0)) == expected
 
     def test_exp_overflow_is_an_evaluation_error(self):
         with pytest.raises(EvaluationError) as excinfo:
-            compile_numeric(parse_expression("exp(1000*t)"))(1.0, None)
+            compile_numeric([parse_expression("exp(1000*t)")])(1.0, None, None)
         assert str(excinfo.value) == (
             "exp overflows at argument 1000 in exp(1000 * t) at t=1"
         )
 
     def test_state_reference_without_leaf_fails_when_evaluated(self):
-        compiled = compile_numeric(parse("2 * u1'@a1"))
+        compiled = compile_numeric([parse("2 * u1'@a1")])
         with pytest.raises(EvaluationError) as excinfo:
-            compiled(0.0, None)
+            compiled(0.0, None, None)
         assert str(excinfo.value) == "state reference u1'@a1 not allowed in this context"
+
+    def test_reference_without_leaf_fails_in_evaluation_order(self):
+        compiled = compile_numeric([parse("ln(t) * u1 + 1")])
+        with pytest.raises(EvaluationError, match=r"^ln of nonpositive value 0 in ln\(t\) at t=0$"):
+            compiled(0.0, None, None)
+        with pytest.raises(EvaluationError, match="^state reference u1 not allowed"):
+            compiled(1.0, None, None)
+
+    def test_bare_leaf_and_constant_trees(self):
+        # trees with no operator node emit no statement, only the return
+        compiled = compile_numeric(
+            [parse("u2"), parse("3"), parse("t"), parse("u1@a1")],
+            lambda ref: ("y", ref.var - 1) if ref.delay is None else ("dv", 0),
+        )
+        assert compiled(0.25, [1.5, 2.5], [7.0]) == (2.5, 3.0, 0.25, 7.0)
+
+    def test_failed_tree_is_named_by_its_position(self):
+        compiled = compile_numeric([parse_expression("t"), parse_expression("1/t")])
+        with pytest.raises(EvaluationError) as excinfo:
+            compiled(0.0, None, None)
+        assert excinfo.value.index == 1
+
+    def test_tree_at_the_depth_bound_compiles_and_evaluates(self):
+        # a left-deep chain of 124 products and quotients under 125 sums:
+        # 250 levels, the most a problem file admits
+        factors = "".join(f" / {k + 2}" if k % 2 else f" * {k + 2}" for k in range(124))
+        node = parse_expression("t" + factors + " + ln(t)" * 125)
+        assert depth(node) == MAX_EXPRESSION_DEPTH
+        expected = 2.0
+        for k in range(124):
+            expected = expected / (k + 2) if k % 2 else expected * (k + 2)
+        for _ in range(125):
+            expected = expected + math.log(2.0)
+        compiled = compile_numeric([node])
+        assert compiled(2.0, None, None) == (expected,)
+        with pytest.raises(EvaluationError, match=r"^ln of nonpositive value 0 in ln\(t\) at t=0$"):
+            compiled(0.0, None, None)
 
 
 class TestValueClasses:

@@ -80,6 +80,8 @@ class TestIntegrate:
         reduced = plain_reduced("u1")
         with pytest.raises(OracleError):
             integrate_reference(reduced, 0.0, 1.0)
+        with pytest.raises(OracleError, match=r"^step size must be finite, got inf$"):
+            integrate_reference(reduced, math.inf, 1.0)
         with pytest.raises(OracleError):
             integrate_reference(reduced, 1e-3, 2.0)
 
@@ -96,6 +98,29 @@ class TestIntegrate:
         with pytest.raises(OracleError) as excinfo:
             integrate_reference(reduced, 1e-3, 1.0)
         assert str(excinfo.value) == "the reference solution is not finite at t = 0.007"
+
+    def test_bare_leaf_and_constant_equations(self):
+        # u1'' = u2 and u2'' = 3 are read straight off the state and the
+        # constants; RK4 follows u2 = t + 3t^2/2 exactly
+        reduced = substitute_history(parse_problem(
+            "order = 2\nvars = u1, u2\neq u1'' = u2\neq u2'' = 3\n"
+            "init u1 = [0, 0]\ninit u2 = [0, 1]\nhorizon = 1\ntaylor_order = 8\n"
+        ))
+        trajectory = integrate_reference(reduced, 0.25, 1.0)
+        for t, state, slope in zip(trajectory.times, trajectory.states, trajectory.derivs):
+            assert slope == (state[1], state[2], state[3], 3.0)
+            assert state[2] == pytest.approx(t + 1.5 * t * t, abs=1e-12)
+
+    def test_error_names_the_equation_among_shift_rows(self):
+        reduced = substitute_history(parse_problem(
+            "order = 2\nvars = u1, u2\neq u1'' = u2\neq u2'' = 1/(t - 1/2)\n"
+            "init u1 = [0, 0]\ninit u2 = [0, 1]\nhorizon = 1\ntaylor_order = 8\n"
+        ))
+        with pytest.raises(OracleError) as excinfo:
+            integrate_reference(reduced, 0.125, 1.0)
+        assert str(excinfo.value) == (
+            "equation 2 at t = 0.5: division by zero in 1 / (t - 0.5) at t=0.5"
+        )
 
     def test_partial_final_step_lands_on_horizon(self):
         trajectory = integrate_reference(plain_reduced("u1"), 0.3, 1.0)
@@ -183,9 +208,10 @@ class TestCompare:
 
 # sha256 sums of the 17-digit grid, states, node slopes and extrapolation
 # count the reference integrator produced while it walked every right-hand
-# side node by node at each evaluation; lowering the equations into
-# closures keeps the same float operations in the same order, so a change
-# to the integrator's arithmetic changes a digest.
+# side node by node at each evaluation; lowering the equations into one
+# generated straight-line function per system (nested closures before it)
+# keeps the same float operations in the same order, so a change to the
+# integrator's arithmetic changes a digest.
 TRAJECTORY_DIGESTS = {
     "example1": "828688cbf7163d09aad758c6060c39716d61aa9aebab725f4a234a6e0fbf23ca",
     "example2": "ec7da2a5a8d0ef669da54ad7f80a5df6d8c304e12c82a4b992a5056bcd391b39",
@@ -311,8 +337,10 @@ def test_step_budget_covers_the_default_step_on_the_unit_interval():
 # four fixtures and seeds 1-5 of the benchmark's march, history and
 # validate families.  The repr of a value class spells every field, nested
 # expression trees included, so a change to a class's fields, their order,
-# their defaults or the repr itself changes the digest.
-REPR_DIGEST = "ee77bd19ee579547f1fc580a4b8b42fcb35b243af53a8d9da8ede3bdc2e247aa"
+# their defaults or the repr itself changes the digest.  Re-recorded once,
+# when ErrorEstimate lost its unused k_hat field: the old reprs with their
+# 63 "k_hat=(...), " removed give this digest.
+REPR_DIGEST = "32f86f289ce163dd9037208521dbd11dcf66b94eae93ff9585141719ab22b66a"
 
 
 def pipeline_reprs(problem) -> str:
