@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Truncation-order sweep of history substitution and the coefficient march.
 
-For the fixtures and the perfbench history family of one seed, times
+For the fixtures, the perfbench history family of one seed and EXP_LAG,
+a history system whose lag is no polynomial (so its power table keeps
+every product, where the family's polynomial lags skip most), times
 ``substitute_history`` and ``solve_reduced`` at N = 10, 20, 40, 80, 160
 (the fastest of ``--repeat`` runs each), fits the growth exponent of each
 in N by least squares on log-log axes, and prints one JSON object.  A
@@ -31,6 +33,21 @@ from taydel.reduce import substitute_history  # noqa: E402
 
 ORDERS = (10, 20, 40, 80, 160)
 FIXTURES = ("example1", "example2", "example3", "example3_u1")
+EXP_LAG = """\
+order = 1
+vars = u, v
+delay lag = vary(exp(-t)/2)
+delay one = constant(1)
+delay half = proportional(1/2)
+eq u' = -u + u@lag*v@half + v@one
+eq v' = u - v@lag*u@half + sin(u@lag)
+phi u = exp(t) + t
+phi v = cos(t)
+init u = [1]
+init v = [1]
+horizon = 1
+taylor_order = 10
+"""
 
 
 def fastest(repeat: int, call) -> tuple[float, object]:
@@ -76,6 +93,7 @@ def main(argv=None) -> int:
     problems = {name: load_problem(ROOT / "fixtures" / f"{name}.fde") for name in FIXTURES}
     for generated in families.history_family(args.seed):
         problems[generated.name] = parse_problem(generated.text, name=generated.name)
+    problems["exp_lag"] = parse_problem(EXP_LAG, name="exp_lag")
     result = {
         "orders": list(ORDERS),
         "seed": args.seed,

@@ -608,13 +608,13 @@ class SeriesTape(Tape):
             return self.emit(self._leaf(node))
         if isinstance(node, Add):
             a, b = self.lower(node.left), self.lower(node.right)
-            return self.emit(lambda k: a[k] + b[k])
+            return self.emit(lambda k: a[k] + b[k], None, self.hull(a, b))
         if isinstance(node, Sub):
             a, b = self.lower(node.left), self.lower(node.right)
-            return self.emit(lambda k: a[k] - b[k])
+            return self.emit(lambda k: a[k] - b[k], None, self.hull(a, b))
         if isinstance(node, Neg):
             a = self.lower(node.operand)
-            return self.emit(lambda k: -a[k])
+            return self.emit(lambda k: -a[k], None, self.support(a))
         if isinstance(node, Mul):
             return self.product(self.lower(node.left), self.lower(node.right))
         self._context.append(partial(pretty, node))

@@ -222,7 +222,8 @@ def compute_validity(problem: CauchyProblem) -> ValidityInterval:
     never reach back before 0 and are excluded from the activation
     minimum.  Time-dependent lags are checked for positivity by sampling
     and their activation time is found by scan plus bisection on
-    t - lag(t).
+    t - lag(t); a lag that is 0 at t = 0 with its argument ahead of 0 right
+    after it is refused, since no history leaf can stand for it.
     """
     horizon = problem.horizon
     t_star = 0.0
@@ -259,11 +260,11 @@ def compute_validity(problem: CauchyProblem) -> ValidityInterval:
                 )
                 activation.append(math.inf)
             elif root <= horizon / SCAN_POINTS and samples[0] == 0.0:
-                # argument already positive immediately after 0: behaves like
-                # a proportional delay and is excluded from the activation min
-                notes.append(
-                    f"delay {spec.id!r} is already ahead of 0 at t = 0+; "
-                    "excluded from the activation minimum"
+                # the argument reads the unknown solution, not the history,
+                # from t = 0+, and substituting the history would be wrong
+                raise ProblemError(
+                    f"delay {spec.id!r}: lag is 0 at t = 0 and the delayed argument "
+                    "is ahead of 0 right after it; write it as a proportional delay"
                 )
             else:
                 activation.append(root)

@@ -24,18 +24,22 @@ from .problem import (
 from .series import PowerTable, Record, Series
 
 # The largest truncation order a system is reduced to, refused before any
-# work.  History substitution grows as N^3 per time-varying delay: on one
-# core of an x86-64 Xeon (CPython 3.11), the benchmark's history systems
-# took 0.3 s at N = 250, 1.9-2.4 s at 500 and 15-17 s at 1000, and
+# work.  History substitution grows as N^3 per time-varying delay whose lag
+# is no polynomial: on one core of an x86-64 Xeon (CPython 3.11), before the
+# tape skipped structural zeros, the benchmark's history systems took 0.3 s
+# at N = 250, 1.9-2.4 s at 500 and 15-17 s at 1000, and
 # fixtures/example2.fde 0.1 s to reduce and 0.5 s to march at 1000.
 MAX_TRUNCATION_ORDER = 500
 
 # The most power-table work history substitution may take, refused before
 # any table is built: each time-varying delay the equations reference costs
-# one table of L = N + 2n + 3 coefficients and about L**3 operations.  The
-# budget is two tables of a first-order system at N = 500.  On one core of
-# an x86-64 Xeon (CPython 3.11) one such delay took 2.3 s and two 5.3 s;
-# four at N = 250 took 0.9 s and thirty at N = 100 0.8 s.
+# one table of L = N + 2n + 3 coefficients and up to about L**3 operations,
+# for a lag that is no polynomial; a polynomial lag's table costs O(L**2),
+# but the budget counts every table at the worst case.  The budget is two
+# tables of a first-order system at N = 500.  On one core of an x86-64
+# Xeon (CPython 3.11) one such delay took 2.3 s and two 5.3 s; four at
+# N = 250 took 0.9 s and thirty at N = 100 0.8 s, measured before the
+# tape skipped structural zeros.
 MAX_HISTORY_TABLE_WORK = 2 * 505**3
 
 

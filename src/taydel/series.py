@@ -17,6 +17,7 @@ zero.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from functools import partial, reduce
 from operator import add, mul
 from typing import Sequence
@@ -169,21 +170,28 @@ def exp_linear(rate: float, order: int) -> Series:
     return Series(tuple(rate**k / math.factorial(k) for k in range(order + 1)))
 
 
-def cauchy_term(a, b, k: int) -> float:
-    """Coefficient k of the product of two series given by their
-    coefficient sequences, each known through index k at least."""
-    return sum(map(mul, a[: k + 1], b[k::-1]))
+def product_term(a, b, lo_a: int, hi_a: int, lo_b: int, hi_b: int, k: int) -> float:
+    """Coefficient k of the product of two coefficient sequences, each
+    exactly zero outside its support [lo, hi] and known through index k:
+    the sum over the j where both a[j] and b[k-j] can be nonzero, in
+    increasing j.  k must lie in [lo_a + lo_b, hi_a + hi_b], the product's
+    support, where that set of j is not empty."""
+    lo = k - hi_b if k - hi_b > lo_a else lo_a
+    hi = k - lo_b if k - lo_b < hi_a else hi_a
+    return sum(map(mul, a[lo : hi + 1], b[k - lo : k - hi - 1 : -1] if hi < k else b[k - lo :: -1]))
 
 
 # Per-index recurrences.  Each returns coefficient k of f(u) from the
-# coefficients c[0..k] of u and the result's known coefficients w[0..k-1];
-# index 0 applies f itself and checks its domain.  Sums add their terms in
-# increasing j with plain float additions, so a coefficient does not
-# depend on how many more are computed.
+# coefficients c[0..k] of u, exactly zero outside its support [lo, hi], and
+# the result's known coefficients w[0..k-1]; index 0 applies f itself and
+# checks its domain.  Sums add their terms in increasing j with plain float
+# additions, so a coefficient does not depend on how many more are
+# computed, and run only over the j where c can be nonzero.
 
-def _weighted_sum(weights, a, b, k: int) -> float:
-    """sum over j = 1..k of weights[j-1] * a[j] * b[k-j]."""
-    return reduce(add, map(mul, map(mul, weights, a[1 : k + 1]), b[k - 1 :: -1]), 0.0)
+def _weighted_sum(weights, a, b, lo: int, hi: int, k: int) -> float:
+    """sum over j = lo..hi of weights[j-lo] * a[j] * b[k-j]; 0.0 when lo > hi."""
+    down = b[k - lo : k - hi - 1 : -1] if hi < k else b[k - lo :: -1]
+    return reduce(add, map(mul, map(mul, weights, a[lo : hi + 1]), down), 0.0)
 
 
 def _overflow_guard(fn, value: float, label: str) -> float:
@@ -195,14 +203,15 @@ def _overflow_guard(fn, value: float, label: str) -> float:
         ) from None
 
 
-def exp_term(c, w, k: int) -> float:
+def exp_term(c, lo: int, hi: int, w, k: int) -> float:
     """w' = u' w:  k w[k] = sum_{j=1..k} j c[j] w[k-j]."""
     if k == 0:
         return _overflow_guard(math.exp, c[0], "exp")
-    return _weighted_sum(range(1, k + 1), c, w, k) / k
+    lo, hi = max(lo, 1), min(hi, k)
+    return _weighted_sum(range(lo, hi + 1), c, w, lo, hi, k) / k
 
 
-def ln_term(c, w, k: int) -> float:
+def ln_term(c, lo: int, hi: int, w, k: int) -> float:
     """u w' = u':  w[k] = (c[k] - sum_{j=1..k-1} j w[j] c[k-j] / k) / c[0]."""
     if k == 0:
         if c[0] <= 0.0:
@@ -210,10 +219,11 @@ def ln_term(c, w, k: int) -> float:
                 f"ln requires a positive constant term, got {c[0]!r}"
             )
         return math.log(c[0])
-    return (c[k] - _weighted_sum(range(1, k), w, c, k) / k) / c[0]
+    lo, hi = max(k - hi, 1), min(k - lo, k - 1)
+    return (c[k] - _weighted_sum(range(lo, hi + 1), w, c, lo, hi, k) / k) / c[0]
 
 
-def reciprocal_term(c, w, k: int) -> float:
+def reciprocal_term(c, lo: int, hi: int, w, k: int) -> float:
     """u w = 1:  w[k] = -sum_{j=1..k} c[j] w[k-j] / c[0]."""
     if k == 0:
         if c[0] == 0.0:
@@ -221,10 +231,12 @@ def reciprocal_term(c, w, k: int) -> float:
                 "reciprocal requires a nonzero constant term, got 0"
             )
         return 1.0 / c[0]
-    return -reduce(add, map(mul, c[1 : k + 1], w[k - 1 :: -1]), 0.0) / c[0]
+    lo, hi = max(lo, 1), min(hi, k)
+    down = w[k - lo : k - hi - 1 : -1] if hi < k else w[k - lo :: -1]
+    return -reduce(add, map(mul, c[lo : hi + 1], down), 0.0) / c[0]
 
 
-def pow_term(c, w, k: int, rho: float) -> float:
+def pow_term(c, lo: int, hi: int, w, rho: float, k: int) -> float:
     """u w' = rho u' w for a fractional exponent rho:
     k c[0] w[k] = sum_{j=1..k} ((rho+1) j - k) c[j] w[k-j]."""
     if k == 0:
@@ -233,17 +245,19 @@ def pow_term(c, w, k: int, rho: float) -> float:
                 f"pow({rho:g}) requires a positive constant term, got {c[0]!r}"
             )
         return _overflow_guard(lambda base: base**rho, c[0], f"pow({rho:g})")
-    weights = [(rho + 1.0) * j - k for j in range(1, k + 1)]
-    return _weighted_sum(weights, c, w, k) / (k * c[0])
+    lo, hi = max(lo, 1), min(hi, k)
+    weights = [(rho + 1.0) * j - k for j in range(lo, hi + 1)]
+    return _weighted_sum(weights, c, w, lo, hi, k) / (k * c[0])
 
 
-def sincos_term(c, s, co, k: int) -> tuple[float, float]:
+def sincos_term(c, lo: int, hi: int, s, co, k: int) -> tuple[float, float]:
     """The coupled pair s' = u' co, co' = -u' s: coefficient k of sin(u)
     and of cos(u) from s[0..k-1] and co[0..k-1]."""
     if k == 0:
         return math.sin(c[0]), math.cos(c[0])
-    j = range(1, k + 1)
-    return _weighted_sum(j, c, co, k) / k, -_weighted_sum(j, c, s, k) / k
+    lo, hi = max(lo, 1), min(hi, k)
+    j = range(lo, hi + 1)
+    return _weighted_sum(j, c, co, lo, hi, k) / k, -_weighted_sum(j, c, s, lo, hi, k) / k
 
 
 _ELEMENTARY_TERMS = {"exp": exp_term, "ln": ln_term, "reciprocal": reciprocal_term}
@@ -257,21 +271,40 @@ class Tape:
     ``k -> float``.  Constants and known series are fixed sequences that
     take no step.  ``rounds`` is the number of coefficients a node holds
     once ``run`` returns.
+
+    Every sequence has a support [lo, hi] within 0..rounds-1, outside which
+    its coefficients are exactly zero: [0, 0] for a constant, the nonzero
+    span of its data for a sequence the tape did not hand out (time, a known
+    series), [lo_a + lo_b, hi_a + hi_b] for a product and every index for
+    any other step unless its emitter says otherwise; an empty support is
+    [rounds, -1].  Products and recurrences take no term with a factor
+    outside its support, and a product is 0.0 outside its own without
+    running its step.  Each skipped term is a finite number times a signed
+    zero, and a sum that starts from 0.0 never holds -0.0, so the
+    coefficients equal those of the full sums bit for bit.
     """
 
-    __slots__ = ("rounds", "_ops", "_context")
+    __slots__ = ("rounds", "_ops", "_context", "_supports")
 
     def __init__(self, rounds: int):
         self.rounds = rounds
-        self._ops: list = []  # (coefficients.append, step, enclosing labels)
+        # (coefficients.append, step, enclosing labels, first and last round
+        # in which the step runs)
+        self._ops: list = []
         # zero-argument callables naming the enclosing quotients, powers and
         # functions: a domain error names each of them, innermost first
         self._context: list = []
+        # id(sequence) -> (support, sequence); holding the sequence keeps its
+        # id from being reused by another while the tape lives
+        self._supports: dict[int, tuple] = {}
 
     def fill(self, k: int) -> None:
         """Append coefficient k to every node; rounds 0..k-1 must have run."""
         isfinite = math.isfinite
-        for append, step, where in self._ops:
+        for append, step, where, lo, hi in self._ops:
+            if not lo <= k <= hi:  # a product outside its support
+                append(0.0)
+                continue
             try:
                 value = step(k)
             except SeriesDomainError as exc:
@@ -286,22 +319,53 @@ class Tape:
         for k in range(self.rounds):
             self.fill(k)
 
-    def emit(self, step, out: list | None = None) -> list:
+    def support(self, seq: Sequence[float]) -> tuple[int, int]:
+        """The [lo, hi] outside which ``seq`` is exactly zero."""
+        known = self._supports.get(id(seq))
+        if known is None:  # fixed data
+            nonzero = [k for k, c in enumerate(seq[: self.rounds]) if c]
+            bounds = (nonzero[0], nonzero[-1]) if nonzero else (self.rounds, -1)
+            known = self._supports[id(seq)] = (bounds, seq)
+        return known[0]
+
+    def hull(self, a: Sequence[float], b: Sequence[float]) -> tuple[int, int]:
+        """Support of a sum or difference of ``a`` and ``b``."""
+        (lo_a, hi_a), (lo_b, hi_b) = self.support(a), self.support(b)
+        return min(lo_a, lo_b), max(hi_a, hi_b)
+
+    def emit(
+        self, step, out: list | None = None, support: tuple[int, int] | None = None,
+        sparse: bool = False,
+    ) -> list:
+        """Append a node computed by ``step``; with ``sparse`` the step runs
+        only inside ``support`` and the node holds 0.0 elsewhere."""
         out = [] if out is None else out
-        self._ops.append((out.append, step, tuple(reversed(self._context))))
+        support = support or (0, self.rounds - 1)
+        lo, hi = support if sparse else (0, self.rounds)
+        self._ops.append((out.append, step, tuple(reversed(self._context)), lo, hi))
+        self._supports[id(out)] = (support, out)
         return out
 
     def constant(self, value: float) -> Sequence[float]:
         if not math.isfinite(value):  # refused when its round runs
-            return self.emit(lambda k: 0.0 if k else value)
-        return (value,) + (0.0,) * (self.rounds - 1)
+            return self.emit(lambda k: 0.0 if k else value, None, (0, 0))
+        out = (value,) + (0.0,) * (self.rounds - 1)
+        self._supports[id(out)] = ((0, 0), out)
+        return out
 
     def product(self, a: Sequence[float], b: Sequence[float]) -> list:
-        return self.emit(partial(cauchy_term, a, b))
+        (lo_a, hi_a), (lo_b, hi_b) = self.support(a), self.support(b)
+        lo, hi = lo_a + lo_b, min(hi_a + hi_b, self.rounds - 1)
+        return self.emit(
+            partial(product_term, a, b, lo_a, hi_a, lo_b, hi_b),
+            None,
+            (lo, hi) if lo <= hi else (self.rounds, -1),
+            True,
+        )
 
-    def _recurrence(self, term, arg: Sequence[float], **extra) -> list:
+    def _recurrence(self, term, arg: Sequence[float], *extra) -> list:
         out: list[float] = []
-        return self.emit(partial(term, arg, out, **extra), out)
+        return self.emit(partial(term, arg, *self.support(arg), out, *extra), out)
 
     def elementary(self, tag: str, arg: Sequence[float]) -> list:
         """f(arg) for ``exp``, ``ln``, ``sin``, ``cos`` or ``reciprocal``."""
@@ -318,7 +382,11 @@ class Tape:
         base's constant term is nonzero.  A fractional exponent runs its
         recurrence, which requires a positive constant term."""
         if not rho.is_integer():
-            return self._recurrence(pow_term, base, rho=rho)
+            if not math.isfinite(rho):
+                # its weights are infinite, and inf * 0 is nan: skip no term
+                out: list[float] = []
+                return self.emit(partial(pow_term, base, 0, self.rounds - 1, out, rho), out)
+            return self._recurrence(pow_term, base, rho)
         m = int(rho)
         if m < 0:
             def check(k):
@@ -342,9 +410,10 @@ class Tape:
         s: list[float] = []
         co: list[float] = []
         out, companion, pick = (s, co, 0) if fn == "sin" else (co, s, 1)
+        lo, hi = self.support(arg)
 
         def step(k):
-            pair = sincos_term(arg, s, co, k)
+            pair = sincos_term(arg, lo, hi, s, co, k)
             companion.append(pair[1 - pick])
             return pair[pick]
 
@@ -382,16 +451,17 @@ class PowerTable:
     constant term, on a tape of their own, for composing any number of
     polynomials with one inner series.
 
-    Power i is exactly 0 below index i, so round k of power i multiplies
-    power i-1 at indices i-1..k-1 by ``inner`` at k-i+1..1 and takes no
-    product with a structural zero: each skipped product has an exact zero
-    factor, and a sum that starts from zero never holds -0.0, so the
-    coefficients equal those of full Cauchy products bit for bit.  Rounds
-    run only when some composition first asks for them, so an overflowing
-    power is reported at the index a single composition would reach it.
+    Power i is the tape's product of power i-1 and ``inner``, so it is
+    exactly 0 outside [i lo, i hi] for the support [lo, hi] of ``inner``
+    (lo >= 1), and a composition adds at index k only the powers whose
+    support holds k.  For a polynomial inner series of degree d a round
+    costs O(d) per power and the table O(d N**2) in all; otherwise
+    O(N**3).  Rounds run only when some composition first asks for them,
+    so an overflowing power is reported at the index a single composition
+    would reach it.
     """
 
-    __slots__ = ("_tape", "_powers", "_columns")
+    __slots__ = ("_tape", "_powers", "_los", "_his", "_columns")
 
     def __init__(self, inner: Series, count: int):
         if inner.coeffs[0] != 0.0:
@@ -399,34 +469,31 @@ class PowerTable:
                 "polynomial composition requires a zero constant term in the "
                 f"inner series, got {inner.coeffs[0]!r}"
             )
-        self._tape = Tape(len(inner.coeffs))
-        self._powers = [self._tape.constant(1.0)]
-        for i in range(1, count):
-            self._powers.append(
-                self._tape.emit(partial(_next_power, self._powers[-1], inner.coeffs, i))
-            )
-        # column k holds powers 0..k at index k; higher powers are 0 there
-        self._columns: list[tuple[float, ...]] = []
+        self._tape = tape = Tape(len(inner.coeffs))
+        self._powers = [tape.constant(1.0)]
+        for _ in range(1, count):
+            self._powers.append(tape.product(self._powers[-1], inner.coeffs))
+        # both nondecreasing in i; an empty support, [rounds, -1], comes last
+        self._los, self._his = zip(*map(tape.support, self._powers))
+        # column k: the first power whose support holds k, and the values
+        # at k of it and the powers after it whose support holds k
+        self._columns: list[tuple[int, tuple[float, ...]]] = []
 
     def compose(self, outer: Sequence[float]) -> Series:
         """Series of P(inner(t)) for the polynomial with coefficients
         ``outer``; coefficient k adds outer[i] * inner**i at k for
-        i = 0..k in increasing i."""
+        i = 0..k in increasing i, leaving out the powers that are 0 there."""
         isfinite = math.isfinite
         out = []
         for k in range(self._tape.rounds):
             if k == len(self._columns):
                 self._tape.fill(k)
-                self._columns.append(tuple(p[k] for p in self._powers[: k + 1]))
-            value = reduce(add, map(mul, outer, self._columns[k]), 0.0)
+                last = bisect_right(self._los, k)
+                first = bisect_left(self._his, k, 0, last)
+                self._columns.append((first, tuple(p[k] for p in self._powers[first:last])))
+            first, column = self._columns[k]
+            value = reduce(add, map(mul, outer[first : first + len(column)], column), 0.0)
             if not isfinite(value):
                 raise non_finite_coefficient(value, k)
             out.append(value)
         return Series(tuple(out))
-
-
-def _next_power(previous: Sequence[float], inner: Sequence[float], i: int, k: int) -> float:
-    """Coefficient k of previous * inner, where previous is power i-1."""
-    if k < i:
-        return 0.0
-    return sum(map(mul, previous[i - 1 : k], inner[k - i + 1 : 0 : -1]))

@@ -541,6 +541,22 @@ class TestExitContract:
             3, "", "error: equation 1, marching index 0: non-finite coefficient inf at index 2\n"
         )
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_lag_ahead_of_zero_right_after_zero_is_refused(self, run, tmp_path, command):
+        # the argument t/2 reads u itself, not phi: solve printed the
+        # coefficient 2 as -0.25 (the pantograph value is +0.25), and compare
+        # agreed with it, because the oracle ran the same reduced system
+        path = tmp_path / "pantograph.fde"
+        path.write_text(
+            "order = 1\nvars = u\ndelay d = vary(t/2)\neq u' = -u@d\nphi u = exp(t)\n"
+            "init u = [1]\nhorizon = 1\ntaylor_order = 5\n"
+        )
+        code, out, err = run(command, str(path))
+        assert (code, out, err) == (
+            2, "", "error: delay 'd': lag is 0 at t = 0 and the delayed argument is ahead "
+            "of 0 right after it; write it as a proportional delay\n",
+        )
+
     def test_non_finite_reference_is_refused(self, run, tmp_path):
         path = tmp_path / "cube.fde"
         path.write_text(SCALAR.replace("u@half - u", "u*u*u").replace("[1]", "[10]"))

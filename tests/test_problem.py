@@ -101,15 +101,18 @@ class TestComputeValidity:
         )
         assert interval.t_alpha == 0.3
 
-    def test_already_advanced_lag_is_excluded(self):
+    def test_already_advanced_lag_is_refused(self):
         # lag t/2 vanishes at 0 and the delayed argument t/2 is positive
-        # for every t > 0, so it never constrains the interval
+        # for every t > 0: it reads the solution, never the history
         problem = make_problem(
             [DelaySpec("x", vary("t/2")), DelaySpec("a", ConstantDelay(0.7))]
         )
-        interval = compute_validity(problem)
-        assert interval.t_alpha == 0.7
-        assert any("excluded" in note for note in interval.notes)
+        with pytest.raises(ProblemError) as excinfo:
+            compute_validity(problem)
+        assert str(excinfo.value) == (
+            "delay 'x': lag is 0 at t = 0 and the delayed argument is ahead of 0 "
+            "right after it; write it as a proportional delay"
+        )
 
     def test_lag_exceeding_horizon_never_activates(self):
         problem = make_problem([DelaySpec("x", vary("t + 2"))])

@@ -1,4 +1,7 @@
+import hashlib
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -19,8 +22,11 @@ from taydel.reduce import (
     history_leaf,
     substitute_history,
 )
-from taydel.problemfile import load_problem
+from taydel.problemfile import load_problem, parse_problem
 from taydel.series import PowerTable, Series
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+import families  # noqa: E402
 
 mpmath.mp.dps = 40
 
@@ -252,3 +258,42 @@ class TestReducedSystemChecksItsReferences:
             "system order 1\n"
         )
 
+
+
+# sha256 over repr(substitute_history(problem, trunc_order=N)) at orders where
+# the power tables dominate, recorded before products, recurrences and power
+# tables skipped structural zeros: the fixtures, seeds 1-5 of the benchmark's
+# history family (lags 1/2 + t^2/4 and 1 + t/2) and EXP_LAG, whose lag
+# exp(-t)/2 is no polynomial, so its power table keeps every product.
+LARGE_ORDER_DIGESTS = {
+    80: "a2dcff433d94cc67c139640dd6470e4d3fcd29d7b1838ef21cb638695583cae4",
+    160: "d30bccc4c1bd569effb75fe194ddf47fa7f45499a3fda0e5eb7cd2795cbf5892",
+}
+
+EXP_LAG = """\
+order = 1
+vars = u, v
+delay lag = vary(exp(-t)/2)
+delay one = constant(1)
+eq u' = u@lag*v@one + v'@lag - u
+eq v' = -u + sin(u@lag)*v + (1 + v@lag^2)^(-1)
+phi u = exp(t) + t^2
+phi v = cos(2*t) + 1/(3 + t)
+init u = [1]
+init v = [1.3333333333333333]
+horizon = 1
+taylor_order = 10
+"""
+
+
+@pytest.mark.parametrize("order", sorted(LARGE_ORDER_DIGESTS))
+def test_reduced_systems_at_large_orders_match_recorded_digest(fixtures_dir, order):
+    problems = [load_problem(path) for path in sorted(fixtures_dir.glob("*.fde"))]
+    problems += [
+        parse_problem(generated.text)
+        for seed in range(1, 6)
+        for generated in families.history_family(seed)
+    ]
+    problems.append(parse_problem(EXP_LAG))
+    text = "".join(repr(substitute_history(p, trunc_order=order)) + "\n" for p in problems)
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_ORDER_DIGESTS[order]

@@ -1,5 +1,7 @@
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import mpmath
 import pytest
@@ -14,7 +16,13 @@ from taydel.series import (
     Tape,
     compose_elementary,
     exp_linear,
+    exp_term,
+    ln_term,
     monomial,
+    non_finite_coefficient,
+    pow_term,
+    reciprocal_term,
+    sincos_term,
 )
 
 mpmath.mp.dps = 40
@@ -385,3 +393,186 @@ def test_scaled_derivative_entries(u, q):
         assert c == pytest.approx(
             math.perm(k + m, m) * q**k * u[k + m], rel=1e-12, abs=1e-12
         )
+
+
+# support-aware sums against the full-range formulas ----------------------------
+#
+# The tape skips every term with a factor outside its support, where it is a
+# signed zero.  The references below are the formulas as they stood before,
+# summing over every j = 0..k (j = 1..k for the recurrences), and both sides
+# are compared by repr, so a -0.0, an int 0 or a changed error text shows.
+
+EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+            1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308)
+coefficient = st.one_of(
+    st.sampled_from(EXTREMES),
+    st.floats(min_value=-10, max_value=10, allow_nan=False),
+    st.integers(min_value=-3, max_value=3).map(float),
+)
+
+
+@st.composite
+def planted(draw, rounds: int) -> tuple[float, ...]:
+    """Coefficients that are signed zeros outside a drawn [lo, hi], which
+    may be empty; zeros inside it count as data."""
+    lo = draw(st.integers(min_value=0, max_value=min(2, rounds)) | st.integers(min_value=0, max_value=rounds))
+    hi = draw(st.integers(min_value=lo - 1, max_value=rounds - 1))
+    zero = st.sampled_from((0.0, -0.0))
+    return tuple(draw(coefficient if lo <= k <= hi else zero) for k in range(rounds))
+
+
+def full_product(a, b, k):
+    return sum(map(mul, a[: k + 1], b[k::-1]))
+
+
+def full_weighted_sum(weights, a, b, k):
+    return reduce(add, map(mul, map(mul, weights, a[1 : k + 1]), b[k - 1 :: -1]), 0.0)
+
+
+def full_step(tag, c, w, companion, k, rho):
+    """Coefficient k >= 1 of tag(c) by the full-range formula; for sin and
+    cos, ``companion`` holds cos(c) and sin(c)."""
+    j = range(1, k + 1)
+    if tag == "exp":
+        return full_weighted_sum(j, c, w, k) / k
+    if tag == "ln":
+        return (c[k] - full_weighted_sum(range(1, k), w, c, k) / k) / c[0]
+    if tag == "reciprocal":
+        return -reduce(add, map(mul, c[1 : k + 1], w[k - 1 :: -1]), 0.0) / c[0]
+    if tag == "pow":
+        weights = [(rho + 1.0) * i - k for i in j]
+        return full_weighted_sum(weights, c, w, k) / (k * c[0])
+    if tag == "sin":
+        return full_weighted_sum(j, c, companion, k) / k, -full_weighted_sum(j, c, w, k) / k
+    return -full_weighted_sum(j, c, companion, k) / k, full_weighted_sum(j, c, w, k) / k
+
+
+FIRST_TERMS = {
+    "exp": lambda c, rho: exp_term(c, 0, 0, (), 0),
+    "ln": lambda c, rho: ln_term(c, 0, 0, (), 0),
+    "reciprocal": lambda c, rho: reciprocal_term(c, 0, 0, (), 0),
+    "pow": lambda c, rho: pow_term(c, 0, 0, (), rho, 0),
+    "sin": lambda c, rho: sincos_term(c, 0, 0, (), (), 0),
+    "cos": lambda c, rho: sincos_term(c, 0, 0, (), (), 0)[::-1],
+}
+
+
+def checked(value, k):
+    if not math.isfinite(value):
+        raise non_finite_coefficient(value, k)
+    return value
+
+
+def outcome(compute) -> str:
+    try:
+        return repr(compute())
+    except SeriesError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def full_outcome(a, b, tag, rho):
+    """tag(a * b), or tag(a) without b, by the full-range formulas, round
+    by round as a tape fills them."""
+    c = a if b is None else []
+    w, companion = [], []
+    for k in range(len(a)):
+        if b is not None:
+            c.append(checked(full_product(a, b, k), k))
+        if k == 0:  # the constant term and its domain check did not change
+            value = FIRST_TERMS[tag](c, rho)
+        else:
+            value = full_step(tag, c, w, companion, k, rho)
+        if tag in ("sin", "cos"):
+            value, other = value
+            companion.append(other)
+        w.append(checked(value, k))
+    return w
+
+
+def tape_outcome(a, b, tag, rho):
+    tape = Tape(len(a))
+    c = a if b is None else tape.product(a, b)
+    w = tape.power(c, rho) if tag == "pow" else tape.elementary(tag, c)
+    tape.run()
+    return w
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=12), st.data())
+def test_support_aware_product_equals_full_range_formula(rounds, data):
+    a, b = data.draw(planted(rounds)), data.draw(planted(rounds))
+
+    def full():
+        return [checked(full_product(a, b, k), k) for k in range(rounds)]
+
+    def taped():
+        tape = Tape(rounds)
+        out = tape.product(a, b)
+        tape.run()
+        return out
+
+    assert outcome(taped) == outcome(full)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(("exp", "ln", "reciprocal", "pow", "sin", "cos")),
+    st.integers(min_value=1, max_value=12),
+    st.booleans(),
+    st.sampled_from((0.5, -0.5, 1.5, -2.25, 1 / 3, math.inf, -math.inf, math.nan)),
+    st.data(),
+)
+def test_support_aware_recurrence_equals_full_range_formula(tag, rounds, chained, rho, data):
+    # chained: the argument is a product on the same tape, whose support is
+    # derived from its factors' rather than read off data
+    a = data.draw(planted(rounds))
+    b = data.draw(planted(rounds)) if chained else None
+    expected = outcome(lambda: full_outcome(a, b, tag, rho))
+    assert outcome(lambda: tape_outcome(a, b, tag, rho)) == expected
+
+
+@pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("c0", [0.5, 1.0, 2.0])
+def test_non_finite_exponent_skips_no_term(rho, c0):
+    # its weights are not finite, so a zero factor makes a nan term, which a
+    # skipped term would lose: base**inf of a constant fails at index 1
+    base = (c0, 0.0, -0.0)
+    expected = outcome(lambda: full_outcome(base, None, "pow", rho))
+    assert outcome(lambda: tape_outcome(base, None, "pow", rho)) == expected
+    assert "non-finite coefficient" in expected
+
+
+def test_empty_sums_are_the_float_zero():
+    # t^3 * t^2 is 0 below index 5, exp(t^4) below 4 apart from its constant
+    # term: every such coefficient is the float 0.0, never sum()'s int 0
+    tape = Tape(8)
+    cube, square = (0.0,) * 3 + (1.0,) + (0.0,) * 4, (0.0, 0.0, 1.0) + (0.0,) * 5
+    product_ = tape.product(cube, square)
+    quartic = tape.elementary("exp", (0.0,) * 4 + (2.0,) + (0.0,) * 3)
+    tape.run()
+    assert repr(product_) == "[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]"
+    assert repr(quartic[:4]) == "[1.0, 0.0, 0.0, 0.0]"
+    assert repr(sincos_term(cube, 3, 3, [0.0, 0.0], [1.0, 1.0], 2)) == "(0.0, -0.0)"
+
+
+def full_power_table(inner, count, outer):
+    """PowerTable.compose by full products of every power at every index."""
+    rounds = len(inner)
+    powers = [(1.0,) + (0.0,) * (rounds - 1)] + [[] for _ in range(1, count)]
+    out = []
+    for k in range(rounds):
+        for i in range(1, count):
+            powers[i].append(checked(full_product(powers[i - 1], inner, k), k))
+        column = [p[k] for p in powers[: k + 1]]
+        out.append(checked(reduce(add, map(mul, outer, column), 0.0), k))
+    return Series(tuple(out))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=12), st.data())
+def test_power_table_equals_full_products(rounds, data):
+    inner = (0.0,) + data.draw(planted(rounds))[1:]
+    outer = data.draw(st.lists(coefficient, min_size=1, max_size=rounds))
+    count = data.draw(st.integers(min_value=1, max_value=rounds))
+    expected = outcome(lambda: full_power_table(inner, count, outer))
+    assert outcome(lambda: PowerTable(Series(inner), count).compose(outer)) == expected
