@@ -4,11 +4,14 @@
 For the fixtures, the perfbench history family of one seed and EXP_LAG,
 a history system whose lag is no polynomial (so its power table keeps
 every product, where the family's polynomial lags skip most), times
+``parse_problem`` on each problem (``parse_ms``), and
 ``substitute_history`` and ``solve_reduced`` at N = 10, 20, 40, 80, 160
-(the fastest of ``--repeat`` runs each), fits the growth exponent of each
-in N by least squares on log-log axes, and prints one JSON object.  A
-problem whose reduction or march fails at some N records the error text
-for that N and is left out of the fit.
+(each the fastest of ``--repeat`` runs).  It fits the growth exponent of
+each in N by least squares on log-log axes over N >= 40 only: below that
+the entries are fractions of a millisecond, where timer noise and the fixed
+per-call costs (validity scan, lowering) would swamp the growth in N.  It
+prints one JSON object.  A problem whose reduction or march fails at some
+N records the error text for that N and is left out of the fit.
 
 Run from the repository root:  python scripts/order_sweep.py --seed 7
 """
@@ -28,10 +31,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import families  # noqa: E402
 from taydel.engine import solve_reduced  # noqa: E402
-from taydel.problemfile import load_problem, parse_problem  # noqa: E402
+from taydel.problemfile import parse_problem  # noqa: E402
 from taydel.reduce import substitute_history  # noqa: E402
 
 ORDERS = (10, 20, 40, 80, 160)
+FIT_FROM = 40  # the smallest order the exponent fit uses
 FIXTURES = ("example1", "example2", "example3", "example3_u1")
 EXP_LAG = """\
 order = 1
@@ -61,16 +65,18 @@ def fastest(repeat: int, call) -> tuple[float, object]:
 
 
 def exponent(times: list[float]) -> float | None:
-    """Least-squares slope of log(time) against log(N)."""
-    xs = [math.log(n) for n in ORDERS]
-    ys = [math.log(max(t, 1e-6)) for t in times]
+    """Least-squares slope of log(time) against log(N) over N >= FIT_FROM."""
+    fitted = [(n, t) for n, t in zip(ORDERS, times) if n >= FIT_FROM]
+    xs = [math.log(n) for n, _ in fitted]
+    ys = [math.log(max(t, 1e-6)) for _, t in fitted]
     mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
     spread = sum((x - mx) ** 2 for x in xs)
     return round(sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / spread, 3)
 
 
-def sweep(problem, repeat: int) -> dict:
-    row: dict = {"substitute_ms": [], "solve_ms": []}
+def sweep(text: str, name: str, repeat: int) -> dict:
+    ms, problem = fastest(repeat, lambda: parse_problem(text, name=name))
+    row: dict = {"parse_ms": round(ms, 3), "substitute_ms": [], "solve_ms": []}
     for order in ORDERS:
         try:
             ms, reduced = fastest(repeat, lambda: substitute_history(problem, trunc_order=order))
@@ -90,17 +96,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7, help="history family seed")
     parser.add_argument("--repeat", type=int, default=3, help="runs per timing")
     args = parser.parse_args(argv)
-    problems = {name: load_problem(ROOT / "fixtures" / f"{name}.fde") for name in FIXTURES}
+    texts = {name: (ROOT / "fixtures" / f"{name}.fde").read_text() for name in FIXTURES}
     for generated in families.history_family(args.seed):
-        problems[generated.name] = parse_problem(generated.text, name=generated.name)
-    problems["exp_lag"] = parse_problem(EXP_LAG, name="exp_lag")
+        texts[generated.name] = generated.text
+    texts["exp_lag"] = EXP_LAG
     result = {
         "orders": list(ORDERS),
         "seed": args.seed,
         "repeat": args.repeat,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "problems": {name: sweep(problem, args.repeat) for name, problem in problems.items()},
+        "problems": {name: sweep(text, name, args.repeat) for name, text in texts.items()},
     }
     print(json.dumps(result, indent=1))
     return 0

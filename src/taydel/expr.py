@@ -27,6 +27,7 @@ one index per round (``SeriesTape``).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence, Union
@@ -127,23 +128,26 @@ FUNCTIONS = ("exp", "ln", "sin", "cos")
 RESERVED = FUNCTIONS + ("t",)
 
 
-def _fold_binary(cls, left: Expr, right: Expr) -> Expr:
-    node = cls(left, right)
+# each binary operator: the node it builds and the float operation that
+# folds it when both operands are constants
+_BINARY = {
+    "+": (Add, operator.add),
+    "-": (Sub, operator.sub),
+    "*": (Mul, operator.mul),
+    "/": (Div, operator.truediv),
+}
+
+
+def _fold_binary(op: str, left: Expr, right: Expr) -> Expr:
+    cls, fold = _BINARY[op]
     if isinstance(left, Const) and isinstance(right, Const):
         try:
-            if cls is Add:
-                value = left.value + right.value
-            elif cls is Sub:
-                value = left.value - right.value
-            elif cls is Mul:
-                value = left.value * right.value
-            else:
-                value = left.value / right.value
+            value = fold(left.value, right.value)
         except ZeroDivisionError:
-            return node
+            return cls(left, right)
         if math.isfinite(value):
             return Const(value)
-    return node
+    return cls(left, right)
 
 
 def _fold_neg(operand: Expr) -> Expr:
@@ -169,41 +173,31 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
     | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-    | (?P<prime>')
-    | (?P<at>@)
-    | (?P<op>[-+*/^()])
+    | (?P<op>[-+*/^()'@])
     | (?P<ws>[ \t]+)
-    | (?P<newline>\n)
+    | (?P<other>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+# The parser spends up to six frames on each open parenthesis; this bound
+# keeps it inside the interpreter's recursion limit.
+MAX_PARENTHESES = 100
 
-
-class _Token(Record):
-    kind: str
-    text: str
-    line: int
-    column: int
+_Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of one line as (kind, text, column), ending with an ``eof``
+    token; an operator, prime or ``@`` is its own kind."""
     tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind != "ws":
-            tokens.append(_Token(kind, m.group(), line, pos - line_start + 1))
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+    for m in _TOKEN_RE.finditer(text):
+        kind, token = m.lastgroup, m.group()
+        if kind == "ws":
+            continue
+        if kind == "other":
+            raise ParseError(f"unexpected character {token!r}", 1, m.start() + 1)
+        tokens.append((token if kind == "op" else kind, token, m.start() + 1))
+    tokens.append(("eof", "", len(text) + 1))
     return tokens
 
 
@@ -221,8 +215,9 @@ class _Parser:
         self.delays = set(delays)
         self.max_deriv = max_deriv
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the token at the cursor."""
+        return self.tokens[self.pos][0]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -230,48 +225,48 @@ class _Parser:
         return tok
 
     def error(self, message: str, tok: _Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.column)
+        return ParseError(message, 1, (tok or self.tokens[self.pos])[2])
 
-    def expect_op(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
-            return self.advance()
-        raise self.error(f"expected {text!r}, found {tok.text or 'end of input'!r}")
+    def found(self) -> str:
+        return repr(self.tokens[self.pos][1] or "end of input")
+
+    def accept(self, kind: str) -> bool:
+        """Step past the token at the cursor if it is of ``kind``."""
+        if self.tokens[self.pos][0] == kind:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, kind: str) -> None:
+        if not self.accept(kind):
+            raise self.error(f"expected {kind!r}, found {self.found()}")
 
     def parse(self) -> Expr:
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise self.error(f"unexpected trailing input {tok.text!r}")
+        if self.peek() != "eof":
+            raise self.error(f"unexpected trailing input {self.found()}")
         return node
 
     def expr(self) -> Expr:
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = _fold_binary(Add if op == "+" else Sub, node, rhs)
+        while self.peek() in ("+", "-"):
+            node = _fold_binary(self.advance()[0], node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.factor()
-            node = _fold_binary(Mul if op == "*" else Div, node, rhs)
+        while self.peek() in ("*", "/"):
+            node = _fold_binary(self.advance()[0], node, self.factor())
         return node
 
     def factor(self) -> Expr:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
+        if self.accept("-"):
             return _fold_neg(self.power())
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
+        if self.accept("^"):
             return _fold_pow(base, self.exponent())
         return base
 
@@ -279,71 +274,63 @@ class _Parser:
         """The number token at the cursor; a literal that overflows a double
         is refused here, the one place a token becomes a float."""
         tok = self.advance()
-        value = float(tok.text)
+        value = float(tok[1])
         if math.isinf(value):
-            raise self.error(f"number {tok.text!r} overflows a double", tok)
+            raise self.error(f"number {tok[1]!r} overflows a double", tok)
         return value
 
     def exponent(self) -> float:
-        tok = self.peek()
-        if tok.kind == "number":
+        if self.peek() == "number":
             return self.number()
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+        if self.accept("("):
             num = self.signed_number()
-            if self.peek().kind == "op" and self.peek().text == "/":
-                self.advance()
+            if self.accept("/"):
                 den = self.signed_number()
                 if den == 0:
                     raise self.error("zero denominator in exponent")
                 num = num / den
                 if math.isinf(num):
                     raise self.error("exponent overflows a double")
-            self.expect_op(")")
+            self.expect(")")
             return num
         raise self.error("expected a numeric exponent")
 
     def signed_number(self) -> float:
-        sign = 1.0
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            sign = -1.0
-        if self.peek().kind != "number":
+        sign = -1.0 if self.accept("-") else 1.0
+        if self.peek() != "number":
             raise self.error("expected a number")
         return sign * self.number()
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
+        kind = self.peek()
+        if kind == "number":
             return Const(self.number())
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+        if self.accept("("):
             node = self.expr()
-            self.expect_op(")")
+            self.expect(")")
             return node
-        if tok.kind == "ident":
+        if kind == "ident":
             return self.identifier()
         raise self.error(
             f"expected a number, 't', a function call or a state reference, "
-            f"found {tok.text or 'end of input'!r}"
+            f"found {self.found()}"
         )
 
     def identifier(self) -> Expr:
         tok = self.advance()
-        name = tok.text
+        name = tok[1]
         if name == "t":
             return TIME
         if name in FUNCTIONS:
-            self.expect_op("(")
+            self.expect("(")
             arg = self.expr()
-            self.expect_op(")")
+            self.expect(")")
             return Func(name, arg)
         if name not in self.variables:
             raise self.error(f"unknown identifier {name!r}", tok)
         var = self.variables.index(name) + 1
         deriv = 0
-        while self.peek().kind == "prime":
-            self.advance()
+        while self.accept("'"):
             deriv += 1
         if deriv > self.max_deriv:
             raise self.error(
@@ -352,15 +339,13 @@ class _Parser:
                 tok,
             )
         delay = None
-        if self.peek().kind == "at":
-            self.advance()
-            dtok = self.peek()
-            if dtok.kind != "ident":
+        if self.accept("@"):
+            if self.peek() != "ident":
                 raise self.error("expected a delay name after '@'")
-            self.advance()
-            if dtok.text not in self.delays:
-                raise self.error(f"unknown delay {dtok.text!r}", dtok)
-            delay = dtok.text
+            dtok = self.advance()
+            if dtok[1] not in self.delays:
+                raise self.error(f"unknown delay {dtok[1]!r}", dtok)
+            delay = dtok[1]
         return StateRef(var, deriv, delay)
 
 
@@ -371,9 +356,20 @@ def parse_expression(
     delays: Sequence[str] = (),
     max_deriv: int = 0,
 ) -> Expr:
-    """Parse an expression.  ``variables`` fixes the admissible state names
-    (empty for time-only expressions such as initial functions and delay
-    laws); ``max_deriv`` bounds the prime chain length."""
+    """Parse a one-line expression; a line break is an unexpected character.
+    ``variables`` fixes the admissible state names (empty for time-only
+    expressions such as initial functions and delay laws); ``max_deriv``
+    bounds the prime chain length.  Parentheses nesting deeper than
+    ``MAX_PARENTHESES`` are refused before parsing; that is checked only on
+    text that could break it."""
+    if text.count("(") > MAX_PARENTHESES:
+        nesting = 0
+        for column, char in enumerate(text, 1):
+            nesting += (char == "(") - (char == ")")
+            if nesting > MAX_PARENTHESES:
+                raise ParseError(
+                    f"parentheses nest deeper than {MAX_PARENTHESES} levels", 1, column
+                )
     return _Parser(_tokenize(text), variables, delays, max_deriv).parse()
 
 

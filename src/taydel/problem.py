@@ -43,6 +43,8 @@ class ConstantDelay(Record):
     def __post_init__(self):
         if not self.tau > 0:
             raise ProblemError(f"constant delay must be positive, got {self.tau!r}")
+        if math.isinf(self.tau):
+            raise ProblemError(f"constant delay must be finite, got {self.tau!r}")
 
 
 class ProportionalDelay(Record):

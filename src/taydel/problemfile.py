@@ -35,10 +35,10 @@ from .problem import (
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*$")
 _DELAY_LINE_RE = re.compile(r"(?P<kind>constant|proportional|vary)\((?P<body>.*)\)$")
-# Bounds that keep the recursive walkers inside the interpreter's recursion
-# limit: the parser spends six frames on each open parenthesis, and the
-# printer two on each level of the tree (the other walkers one).
-MAX_PARENTHESES = 100
+# Keeps the recursive walkers that run after loading inside the
+# interpreter's recursion limit: the printer spends two frames on each level
+# of the tree, the other walkers one.  ``expr.parse_expression`` bounds the
+# parser's own recursion (``MAX_PARENTHESES``).
 MAX_EXPRESSION_DEPTH = 250
 
 
@@ -64,16 +64,9 @@ def _parse_expression(text: str, line_no: int, offset: int, **names) -> ex.Expr:
     """Parse an expression that starts after ``offset`` characters of file
     line ``line_no``; an error gives its position in that line.  Sums are
     not rebalanced to fit the depth bound, since that would change the
-    order of the float additions.  Each bound is checked only on text that
-    could break it: every level of the tree takes at least one character."""
-    if text.count("(") > MAX_PARENTHESES:
-        nesting = 0
-        for column, char in enumerate(text, offset + 1):
-            nesting += (char == "(") - (char == ")")
-            if nesting > MAX_PARENTHESES:
-                raise ex.ParseError(
-                    f"parentheses nest deeper than {MAX_PARENTHESES} levels", line_no, column
-                )
+    order of the float additions.  The depth bound is checked only on text
+    that could break it: every level of the tree takes at least one
+    character."""
     try:
         node = ex.parse_expression(text, **names)
     except ex.ParseError as exc:

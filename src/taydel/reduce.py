@@ -180,11 +180,6 @@ def substitute_history(
             return ref
         key = (ref.var, ref.deriv, ref.delay)
         if key not in leaf_cache:
-            if problem.phi is None:
-                raise ProblemError(
-                    "history function required to substitute "
-                    f"{ex.pretty(ref, problem.var_names)}"
-                )
             if ref.delay not in expansions:
                 argument = delay_argument_series(specs[ref.delay], leaf_order)
                 expansions[ref.delay] = _expansion(argument, leaf_order)

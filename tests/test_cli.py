@@ -297,6 +297,14 @@ class TestExitContract:
             ),
             pytest.param(
                 "delay half = proportional(1/2)",
+                "delay half = constant(inf)\nphi u = 1",
+                2,
+                "info",
+                "bad.fde:3: constant delay must be finite, got inf",
+                id="infinite_constant_lag",
+            ),
+            pytest.param(
+                "delay half = proportional(1/2)",
                 "delay half = vary(exp(1000*t))\nphi u = 1",
                 2,
                 "solve",

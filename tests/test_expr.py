@@ -93,6 +93,16 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("u1 $ u2")
 
+    def test_expression_is_one_line(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse("u1 \n+ u2")
+        assert str(excinfo.value) == "unexpected character '\\n' (line 1, column 4)"
+
+    def test_parser_bounds_its_own_parentheses(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_expression("(" * 400 + "t" + ")" * 400)
+        assert str(excinfo.value) == "parentheses nest deeper than 100 levels (line 1, column 101)"
+
     def test_time_only_context_rejects_states(self):
         with pytest.raises(ParseError):
             parse_expression("u1 + t")

@@ -44,6 +44,10 @@ class TestDelaySpecs:
         with pytest.raises(ProblemError):
             ConstantDelay(-1.0)
 
+    def test_constant_must_be_finite(self):
+        with pytest.raises(ProblemError, match="^constant delay must be finite, got inf$"):
+            ConstantDelay(math.inf)
+
     @pytest.mark.parametrize("q", [0.0, 1.0, 1.5, -0.1])
     def test_proportional_ratio_bounds(self, q):
         with pytest.raises(ProblemError):
