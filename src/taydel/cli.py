@@ -329,11 +329,11 @@ def cmd_compare(args) -> int:
         a, b = bounds
     else:
         a, b = 0.0, reduced.validity.upper
-    if not 0.0 <= a < b <= reduced.validity.upper + 1e-12:
-        raise UsageError(
-            f"comparison interval [{a:g}, {b:g}] must lie inside "
-            f"[0, {reduced.validity.upper:g}]"
-        )
+    upper = reduced.validity.upper
+    # an end up to 1e-12 past upper is round-off in the flag and reads as upper
+    if not (0.0 <= a < min(b, upper) and b <= upper + 1e-12):
+        raise UsageError(f"comparison interval [{a:g}, {b:g}] must lie inside [0, {upper:g}]")
+    b = min(b, upper)
     steps = oracle.reference_steps(args.step, b)
     if steps > oracle.MAX_REFERENCE_STEPS:
         raise UsageError(

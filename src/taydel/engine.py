@@ -101,7 +101,7 @@ class ValidityError(ValueError):
 
 class OracleError(Exception):
     """Failure of the reference integrator in ``oracle`` (domain error in the
-    right-hand side, lookup ahead of the computed history)."""
+    right-hand side, a non-finite solution, a step size it cannot use)."""
 
 
 class ErrorEstimate(Record):

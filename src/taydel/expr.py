@@ -54,9 +54,9 @@ class EvaluationError(ValueError):
     """Numeric evaluation hit a domain error (division by zero, log of a
     nonpositive value, fractional power of a negative base).  ``index`` is
     the position of the failed tree among those ``compile_numeric`` lowered
-    together."""
+    together, and ``t`` the time it was evaluated at."""
 
-    index = 0
+    index, t = 0, 0.0
 
 
 # AST ------------------------------------------------------------------------
@@ -655,7 +655,7 @@ def _fail(template: str, node: Expr, index: int, t: float, x=None):
     ``index``-th tree compiled together: ``x`` is the guarded argument or the
     exception a power raised.  Only here does a compiled tree run ``pretty``."""
     error = EvaluationError(template.format(node=pretty(node), t=t, x=x))
-    error.index = index
+    error.index, error.t = index, t
     raise error from None
 
 

@@ -131,9 +131,9 @@ def integrate_reference(
     ]
     derivs: list[tuple[float, ...]] = []
     extrapolations = 0
-    # Hermite data of the step in progress, for lookups beyond the front:
-    # (t0, h, y0, d0, y1, d1) or None
-    inflight: list[tuple] = [None]
+    # Hermite data (t0, h, y0, d0, y1, d1) of the step in progress, for
+    # lookups beyond the front; only the first call, at t = 0, runs without
+    data = None
     # one slot per distinct proportional (ratio, component), grouped by
     # ratio; uses[ratio] counts the references that read its slots
     slots: dict[tuple[float, int], int] = {}
@@ -158,28 +158,23 @@ def integrate_reference(
         row for j, equation in enumerate(reduced.equations, start=1)
         for row in [*(ex.StateRef(j, d + 1) for d in range(n - 1)), equation]
     ], leaf)
-    # the delayed values depend on (t, stage limit, step in progress) only,
-    # which RK4's k2 and k3, and k4 and the end-of-step slope, share; a
-    # reuse still counts the extrapolations the values took
+    # the delayed values depend on (t, step in progress) only, which RK4's
+    # k2 and k3, and k4 and the end-of-step slope, share; a reuse still
+    # counts the extrapolations the values took
     last_key, last_values, last_count = None, [], 0
 
-    def delayed(t: float, stage_limit: float) -> list[float]:
+    def rhs(t: float, y) -> tuple[float, ...]:
+        # a lookup at q*t, 0 < q < 1, never passes the end of the step in
+        # progress, whose Hermite data serve it past the last node
         nonlocal extrapolations, last_key, last_values, last_count
-        data = inflight[0]
-        if (t, stage_limit, data) == last_key:
+        if (t, data) == last_key:
             extrapolations += last_count
-            return last_values
+            return generated(t, y, last_values)
         values = [0.0] * len(slots)
         count = 0
-        bound = stage_limit + 1e-9 * max(1.0, stage_limit)
         front = times[-1]
         for ratio, members in groups.items():
             s = ratio * t
-            if s > bound:
-                raise OracleError(
-                    f"lookup at t = {s:g} is ahead of the computed history "
-                    f"(front {stage_limit:g})"
-                )
             if s <= front:
                 i = bisect.bisect_right(times, s) - 1
                 if i >= len(times) - 1:
@@ -188,71 +183,52 @@ def integrate_reference(
                     continue
                 t0, h = times[i], times[i + 1] - times[i]
                 y0, d0, y1, d1 = states[i], derivs[i], states[i + 1], derivs[i + 1]
-            elif data is None:
-                raise OracleError(
-                    f"lookup at t = {s:g} beyond the front with no step in "
-                    "progress"
-                )
             else:
                 count += uses[ratio]
                 t0, h, y0, d0, y1, d1 = data
             a, b, c, d = _hermite_weights(t0, h, s)
             for slot, k in members:
                 values[slot] = a * y0[k] + b * d0[k] + c * y1[k] + d * d1[k]
-        last_key, last_values, last_count = (t, stage_limit, data), values, count
+        last_key, last_values, last_count = (t, data), values, count
         extrapolations += count
-        return values
-
-    def rhs(t: float, y, stage_limit: float) -> tuple[float, ...]:
-        try:
-            return generated(t, y, delayed(t, stage_limit))
-        except ex.EvaluationError as exc:
-            raise OracleError(f"equation {exc.index // n + 1} at t = {t:g}: {exc}") from None
+        return generated(t, y, values)
 
     def rk4_step(t0: float, y0: tuple[float, ...], h: float, k1):
-        limit = t0 + h
         half, sixth = h / 2, h / 6
-        k2 = rhs(t0 + half, [y + half * k for y, k in zip(y0, k1)], limit)
-        k3 = rhs(t0 + half, [y + half * k for y, k in zip(y0, k2)], limit)
-        k4 = rhs(limit, [y + h * k for y, k in zip(y0, k3)], limit)
+        k2 = rhs(t0 + half, [y + half * k for y, k in zip(y0, k1)])
+        k3 = rhs(t0 + half, [y + half * k for y, k in zip(y0, k2)])
+        k4 = rhs(t0 + h, [y + h * k for y, k in zip(y0, k3)])
         return tuple([
             y + sixth * (a + 2 * b + 2 * c + d)
             for y, a, b, c, d in zip(y0, k1, k2, k3, k4)
         ])
 
-    for i in range(steps):
-        t0 = i * step_size
-        h = min(step_size, horizon - t0)
-        if h <= 0:
-            break
-        y0 = states[-1]
-        if i == 0:
-            # no previous step to extrapolate from: iterate the step,
-            # feeding each pass's Hermite polynomial to the next (the
-            # fixed point of this map has the integrator's full order)
-            d0 = rhs(0.0, y0, h)
-            y1 = tuple(y + h * d for y, d in zip(y0, d0))  # Euler predictor
-            d1 = d0
-            for _ in range(3):
-                inflight[0] = (0.0, h, y0, d0, y1, d1)
-                y1 = rk4_step(0.0, y0, h, d0)
-                d1 = rhs(h, y1, h)
-            derivs.append(d0)
-        else:
-            inflight[0] = (
-                times[-2],
-                times[-1] - times[-2],
-                states[-2],
-                derivs[-2],
-                states[-1],
-                derivs[-1],
-            )
-            y1 = rk4_step(t0, y0, h, derivs[-1])
-            d1 = rhs(t0 + h, y1, t0 + h)
-        times.append(t0 + h)
-        states.append(y1)
-        derivs.append(d1)
-        inflight[0] = None
+    try:
+        for i in range(steps):
+            t0 = i * step_size
+            h = min(step_size, horizon - t0)  # positive: steps keeps t0 < horizon
+            y0 = states[-1]
+            if i == 0:
+                # no previous step to extrapolate from: iterate the step,
+                # feeding each pass's Hermite polynomial to the next (the
+                # fixed point of this map has the integrator's full order)
+                d0 = rhs(0.0, y0)
+                y1 = tuple(y + h * d for y, d in zip(y0, d0))  # Euler predictor
+                d1 = d0
+                for _ in range(3):
+                    data = (0.0, h, y0, d0, y1, d1)
+                    y1 = rk4_step(0.0, y0, h, d0)
+                    d1 = rhs(h, y1)
+                derivs.append(d0)
+            else:
+                data = (times[-2], times[-1] - times[-2], states[-2], derivs[-2], y0, derivs[-1])
+                y1 = rk4_step(t0, y0, h, derivs[-1])
+                d1 = rhs(t0 + h, y1)
+            times.append(t0 + h)
+            states.append(y1)
+            derivs.append(d1)
+    except ex.EvaluationError as exc:
+        raise OracleError(f"equation {exc.index // n + 1} at t = {exc.t:g}: {exc}") from None
 
     # an RK4 update keeps inf and NaN, so a non-finite node leaves the last
     # one non-finite; only then is the first one looked for

@@ -182,38 +182,26 @@ class ValidityInterval(Record):
     notes: tuple[str, ...] = ()
 
 
-def _lag_function(law: TimeVaryingDelay):
-    """The lag as a function of t, lowered once for scan and bisection."""
-    lag = ex.compile_numeric([law.lag])
-
-    def value(t: float) -> float:
-        try:
-            return lag(t, None, None)[0]
-        except ex.EvaluationError as exc:
-            raise ProblemError(f"delay law evaluation failed: {exc}") from None
-    return value
-
-
-def _first_positive_root(g, grid, scanned, delay_id: str) -> float | None:
-    """Smallest t in (0, grid[-1]] with g(t) > 0, located by a sign scan of
-    the values ``scanned`` of g on ``grid`` and bisection.  None when g
-    stays nonpositive on the whole grid."""
+def _first_positive_root(lag, grid, gaps, delay_id: str) -> float | None:
+    """Smallest t in (0, grid[-1]] with t - lag(t) > 0, located by a sign
+    scan of its values ``gaps`` on ``grid`` and bisection, ``lag`` being the
+    compiled lag.  None when t - lag(t) stays nonpositive on the grid."""
     for i in range(1, len(grid)):
-        if scanned[i] > 0.0:
+        if gaps[i] > 0.0:
             lo, hi = grid[i - 1], grid[i]
             for _ in range(BISECTION_ITERATIONS):
                 mid = 0.5 * (lo + hi)
-                if g(mid) > 0.0:
+                if mid - lag(mid, None, None)[0] > 0.0:
                     hi = mid
                 else:
                     lo = mid
-            root = hi
-            if abs(g(root)) > ROOT_TOLERANCE:
+            residual = abs(hi - lag(hi, None, None)[0])
+            if residual > ROOT_TOLERANCE:
                 raise ProblemError(
                     f"root search for delay {delay_id!r} did not converge: "
-                    f"|residual| = {abs(g(root)):.3g}"
+                    f"|residual| = {residual:.3g}"
                 )
-            return root
+            return hi
     return None
 
 
@@ -239,22 +227,23 @@ def compute_validity(problem: CauchyProblem) -> ValidityInterval:
         elif isinstance(law, ProportionalDelay):
             continue
         else:
-            lag_at = _lag_function(law)
+            lag = ex.compile_numeric([law.lag])
             grid = [horizon * i / SCAN_POINTS for i in range(SCAN_POINTS + 1)]
-            samples = [lag_at(t) for t in grid]
-            for t, value in zip(grid, samples):
-                if t > 0 and value <= 0.0:
-                    raise ProblemError(
-                        f"delay {spec.id!r}: lag must stay positive on the "
-                        f"horizon, got {value:.3g} at t = {t:.6g}"
-                    )
-                if t == 0 and value < 0.0:
-                    raise ProblemError(
-                        f"delay {spec.id!r}: lag is negative at t = 0"
-                    )
-            gaps = [t - value for t, value in zip(grid, samples)]
+            try:
+                samples = [lag(t, None, None)[0] for t in grid]
+                for t, value in zip(grid, samples):
+                    if t > 0 and value <= 0.0:
+                        raise ProblemError(
+                            f"delay {spec.id!r}: lag must stay positive on the "
+                            f"horizon, got {value:.3g} at t = {t:.6g}"
+                        )
+                    if t == 0 and value < 0.0:
+                        raise ProblemError(f"delay {spec.id!r}: lag is negative at t = 0")
+                gaps = [t - value for t, value in zip(grid, samples)]
+                root = _first_positive_root(lag, grid, gaps, spec.id)
+            except ex.EvaluationError as exc:
+                raise ProblemError(f"delay law evaluation failed: {exc}") from None
             t_star = min(t_star, min(gaps))
-            root = _first_positive_root(lambda t: t - lag_at(t), grid, gaps, spec.id)
             if root is None:
                 notes.append(
                     f"delay {spec.id!r} stays in the history over the whole "

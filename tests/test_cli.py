@@ -72,6 +72,16 @@ class TestInfo:
         assert code == 2
         assert "compatibility: FAIL" in out
 
+    def test_history_only_delay_gets_a_note(self, run, tmp_path):
+        path = tmp_path / "far.fde"
+        path.write_text(
+            "order = 1\nvars = u\ndelay lag = vary(1 + t/2)\neq u' = u@lag\n"
+            "phi u = 1\ninit u = [1]\nhorizon = 1\ntaylor_order = 4\n"
+        )
+        code, out, _ = run("info", str(path))
+        assert code == 0
+        assert "note: delay 'lag' stays in the history over the whole horizon\n" in out
+
 
 class TestSolve:
     def test_csv_row_matches_published_coefficients(self, run, fixtures_dir):
@@ -184,6 +194,26 @@ class TestSolve:
         assert code == 2
         assert "error" in err
 
+    def test_batch_mode_needs_a_directory(self, run, fixtures_dir):
+        path = fixture(fixtures_dir, "example1.fde")
+        code, out, err = run("solve", path, "--all")
+        assert (code, out, err) == (2, "", f"error: --all needs a directory, got {path!r}\n")
+
+    def test_batch_mode_needs_a_problem_file(self, run, tmp_path):
+        code, out, err = run("solve", str(tmp_path), "--all")
+        assert (code, out, err) == (2, "", f"error: no .fde files in {tmp_path}\n")
+
+    def test_json_pivot_log_of_a_neutral_equation(self, run, tmp_path):
+        path = tmp_path / "neutral.fde"
+        path.write_text(SCALAR.replace("u@half - u", "u + 1/2*u'@half")
+                        .replace("taylor_order = 10", "taylor_order = 3"))
+        code, out, _ = run("solve", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["pivot_log"] == [
+            {"var": "u", "k": k, "pivot": pivot}
+            for k, pivot in enumerate((0.5, 0.75, 0.875, 0.9375))
+        ]
+
 
 class TestEval:
     def test_polynomial_point(self, run, fixtures_dir):
@@ -219,6 +249,10 @@ class TestEval:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 3
+
+    def test_empty_time_list_is_refused(self, run, fixtures_dir):
+        code, out, err = run("eval", fixture(fixtures_dir, "example2.fde"), "--at", ",")
+        assert (code, out, err) == (2, "", "error: --at needs at least one time value\n")
 
 
 class TestCompare:
@@ -261,6 +295,33 @@ class TestCompare:
         )
         assert code == 2
         assert "interval" in err
+
+    @pytest.mark.parametrize("interval", ["0,1.0000000000001", "0.5,1.0000000000001"])
+    def test_interval_end_within_round_off_of_upper_reads_as_upper(
+        self, run, fixtures_dir, interval
+    ):
+        path = fixture(fixtures_dir, "example2.fde")
+        start = interval.split(",")[0]
+        expected = run("compare", path, "--interval", f"{start},1", "--h", "0.01")
+        assert expected[0] == 0
+        assert run("compare", path, "--interval", interval, "--h", "0.01") == expected
+
+    def test_interval_start_within_round_off_past_upper_is_refused(self, run, fixtures_dir):
+        code, out, err = run(
+            "compare", fixture(fixtures_dir, "example2.fde"),
+            "--interval", "1.0000000000001,1.0000000000002", "--h", "0.01",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: comparison interval [1, 1] must lie inside [0, 1]\n"
+
+    def test_coarse_reference_exceeds_the_bound(self, run, fixtures_dir):
+        """At --h 0.5 the reference, not the Taylor polynomial, is off."""
+        code, out, err = run(
+            "compare", fixture(fixtures_dir, "example1.fde"), "--order", "20", "--h", "0.5"
+        )
+        assert code == 4
+        assert [line.split(":")[0] for line in out.splitlines()] == ["u1", "u2", "u3"]
+        assert err == "error: measured error exceeds the truncation bound for u1, u2, u3\n"
 
 
 class TestExitContract:

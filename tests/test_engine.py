@@ -4,6 +4,7 @@ import random
 import pytest
 
 from taydel.engine import (
+    EvalFailure,
     NonlinearNeutral,
     ValidityError,
     ZeroPivotInconsistent,
@@ -15,10 +16,16 @@ from taydel.engine import (
     solve_reduced,
     transform_initial_conditions,
 )
-from taydel.expr import parse_expression
-from taydel.problem import CauchyProblem, ProblemError
+from taydel.expr import StateRef, parse_expression
+from taydel.problem import (
+    CauchyProblem,
+    DelaySpec,
+    ProblemError,
+    ProportionalDelay,
+    ValidityInterval,
+)
 from taydel.problemfile import load_problem, parse_problem
-from taydel.reduce import substitute_history
+from taydel.reduce import ReducedSystem, substitute_history
 
 SCALAR_NEUTRAL = """
 order = 1
@@ -224,6 +231,48 @@ class TestNeutralHandling:
         solution = solve(scalar_neutral("-u1'@half + 1", init=0.0))
         # u'(0) (1 + 1) = 1
         assert solution.series[0].coeffs[1] == pytest.approx(0.5)
+
+    def test_negated_factor_of_a_neutral_product(self):
+        # 2*-u1'@half keeps its Neg inside the product; -2*u1'@half folds it
+        inner = solve(scalar_neutral("u1 + 2*-u1'@half"))
+        folded = solve(scalar_neutral("u1 + -2*u1'@half"))
+        assert (inner.series, inner.tail) == (folded.series, folded.tail)
+        assert inner.pivot_log == folded.pivot_log
+
+
+def unit_reduced(equations, init, var_names=("u",)):
+    """A hand-built reduced system of order 1 with one delay, half = q*t."""
+    return ReducedSystem(
+        order=1,
+        var_names=var_names,
+        equations=equations,
+        delays=(DelaySpec("half", ProportionalDelay(0.5)),),
+        init=init,
+        trunc_order=4,
+        validity=ValidityInterval(t_star=0.0, t_alpha=math.inf, upper=1.0),
+    )
+
+
+class TestSolveReduced:
+    def test_top_order_reference_to_another_variable_is_refused(self):
+        # check_h2 refuses this in a problem file; solve_reduced refuses it itself
+        reduced = unit_reduced(
+            (StateRef(2, 1, "half"), StateRef(1, 0)), ((1.0,), (0.0,)), ("u", "v")
+        )
+        with pytest.raises(NonlinearNeutral) as excinfo:
+            solve_reduced(reduced)
+        assert str(excinfo.value) == (
+            "equation 1: top-order reference to another variable (v'@half) "
+            "under a proportional delay"
+        )
+
+    def test_non_finite_initial_data_is_refused(self):
+        reduced = unit_reduced((StateRef(1, 0),), ((math.inf,),))
+        with pytest.raises(EvalFailure) as excinfo:
+            solve_reduced(reduced)
+        assert str(excinfo.value) == (
+            "equation 1, marching index 0: non-finite coefficient inf at index 0"
+        )
 
 
 def random_system(rng: random.Random) -> CauchyProblem:

@@ -32,7 +32,7 @@ from taydel.expr import (
 )
 from taydel.problem import ConstantDelay, ProblemError, ValidityInterval
 from taydel.problemfile import MAX_EXPRESSION_DEPTH
-from taydel.series import Series, SeriesDomainError, exp_linear, monomial
+from taydel.series import Series, SeriesDomainError, SeriesError, exp_linear, monomial
 
 VARS = ("u1", "u2", "u3")
 
@@ -114,6 +114,10 @@ class TestParse:
     def test_constant_folding_is_finite_only(self):
         got = parse_expression("1/0")
         assert got == Div(Const(1.0), Const(0.0))
+
+    @pytest.mark.parametrize("text, base, exponent", [("0^(-1)", 0.0, -1.0), ("1e300^2", 1e300, 2.0)])
+    def test_power_that_raises_is_not_folded(self, text, base, exponent):
+        assert parse_expression(text) == Pow(Const(base), exponent)
 
 
 FIXTURE_EXPRESSIONS = [
@@ -291,6 +295,12 @@ class TestEvalSeries:
     def test_integer_power_of_time(self):
         got = eval_series(parse_expression("t^3"), time_series(5))
         assert got == monomial(3, 5)
+
+    def test_non_finite_constant_is_refused_at_its_index(self):
+        # without the check the product would carry inf * 0 = nan
+        with pytest.raises(SeriesError) as excinfo:
+            eval_series(Mul(Const(math.inf), TIME), time_series(3))
+        assert str(excinfo.value) == "non-finite coefficient inf at index 0"
 
 
 class TestEvalNumeric:

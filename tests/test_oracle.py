@@ -122,6 +122,13 @@ class TestIntegrate:
             "equation 2 at t = 0.5: division by zero in 1 / (t - 0.5) at t=0.5"
         )
 
+    def test_domain_error_in_the_first_evaluation(self):
+        # the slope at t = 0, taken before any step data exist, divides by t
+        reduced = plain_reduced("1/t + u1")
+        with pytest.raises(OracleError) as excinfo:
+            integrate_reference(reduced, 0.1, 1.0)
+        assert str(excinfo.value) == "equation 1 at t = 0: division by zero in 1 / t at t=0"
+
     def test_partial_final_step_lands_on_horizon(self):
         trajectory = integrate_reference(plain_reduced("u1"), 0.3, 1.0)
         assert trajectory.times[-1] == pytest.approx(1.0, abs=1e-12)
