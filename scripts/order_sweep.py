@@ -10,12 +10,13 @@ over [0, upper] on the N = 20 reduction (``reference_ms``, null where the
 integrator refuses the system), and ``substitute_history`` and
 ``solve_reduced`` at N = 10, 20, 40, 80, 160 (each the fastest of
 ``--repeat`` runs).  ``substitute_ms`` includes ``validity_ms``: the
-reduction computes the validity interval itself.  It fits the growth exponent of
-each in N by least squares on log-log axes over N >= 40 only: below that
-the entries are fractions of a millisecond, where timer noise and the fixed
-per-call costs (validity scan, lowering) would swamp the growth in N.  It
-prints one JSON object.  A problem whose reduction or march fails at some
-N records the error text for that N and is left out of the fit.
+reduction computes the validity interval itself.  It fits the growth
+exponent of each in N by least squares on log-log axes over N >= 40 only:
+below that the entries are fractions of a millisecond, where timer noise
+and the fixed per-call costs (validity scan, lowering) would swamp the
+growth in N.  It prints one JSON object.  A problem whose reduction or
+march fails at some N records the error text for that N and is left out
+of the fit.
 
 Run from the repository root:  python scripts/order_sweep.py --seed 7
 """

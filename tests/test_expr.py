@@ -115,7 +115,9 @@ class TestParse:
         got = parse_expression("1/0")
         assert got == Div(Const(1.0), Const(0.0))
 
-    @pytest.mark.parametrize("text, base, exponent", [("0^(-1)", 0.0, -1.0), ("1e300^2", 1e300, 2.0)])
+    @pytest.mark.parametrize(
+        "text, base, exponent", [("0^(-1)", 0.0, -1.0), ("1e300^2", 1e300, 2.0)]
+    )
     def test_power_that_raises_is_not_folded(self, text, base, exponent):
         assert parse_expression(text) == Pow(Const(base), exponent)
 
