@@ -576,13 +576,14 @@ def analyze(
 class SeriesTape(Tape):
     """Expressions lowered once onto a ``series.Tape``: each node maps onto
     the tape's rule for it, and a state reference onto the step
-    ``leaf(ref) = k -> float``.  ``time`` holds the series substituted for
-    ``t``, and its length is the number of rounds.
+    ``leaf(ref) = k -> float``; without ``leaf`` a state reference is an
+    error.  ``time`` holds the series substituted for ``t``, and its length
+    is the number of rounds.
     """
 
     __slots__ = ("_time", "_leaf")
 
-    def __init__(self, time: Sequence[float], leaf: Callable[[StateRef], Callable]):
+    def __init__(self, time: Sequence[float], leaf: Callable[[StateRef], Callable] | None = None):
         super().__init__(len(time))
         self._time = time
         self._leaf = leaf
@@ -601,6 +602,8 @@ class SeriesTape(Tape):
                 )
             return coeffs
         if isinstance(node, StateRef):
+            if self._leaf is None:
+                raise EvaluationError(f"state reference {pretty(node)} not allowed in this context")
             return self.emit(self._leaf(node))
         if isinstance(node, Add):
             a, b = self.lower(node.left), self.lower(node.right)
@@ -635,11 +638,9 @@ def eval_series(
     series of at least that order; without it a reference is an error."""
 
     def leaf(ref: StateRef):
-        if resolve is None:
-            raise EvaluationError(f"state reference {pretty(ref)} not allowed in this context")
         return resolve(ref).truncated(time.trunc_order).coeffs.__getitem__
 
-    tape = SeriesTape(time.coeffs, leaf)
+    tape = SeriesTape(time.coeffs, None if resolve is None else leaf)
     out = tape.lower(node)
     tape.run()
     return Series(tuple(out[: time.trunc_order + 1]))  # a known series may be longer

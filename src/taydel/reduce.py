@@ -10,6 +10,8 @@ delays are proportional.
 
 from __future__ import annotations
 
+import math
+from typing import Callable, Sequence
 
 from . import expr as ex
 from .problem import (
@@ -21,25 +23,25 @@ from .problem import (
     ValidityInterval,
     compute_validity,
 )
-from .series import PowerTable, Record, Series
+from .series import Record, Series, compose_powers, non_finite_coefficient, power_table
 
 # The largest truncation order a system is reduced to, refused before any
 # work.  History substitution grows as N^3 per time-varying delay whose lag
-# is no polynomial: on one core of an x86-64 Xeon (CPython 3.11), before the
-# tape skipped structural zeros, the benchmark's history systems took 0.3 s
-# at N = 250, 1.9-2.4 s at 500 and 15-17 s at 1000, and
-# fixtures/example2.fde 0.1 s to reduce and 0.5 s to march at 1000.
+# is no polynomial: on one core of an x86-64 Xeon (CPython 3.11) the order
+# sweep's exp(-t)/2 system took 0.13 s to reduce at N = 250, 0.72 s at 500
+# and 3.1 s at 1000; the benchmark's history systems, whose lags are
+# polynomials, took at most 0.3 s to reduce at 1000.
 MAX_TRUNCATION_ORDER = 500
 
 # The most power-table work history substitution may take, refused before
 # any table is built: each time-varying delay the equations reference costs
 # one table of L = N + 2n + 3 coefficients and up to about L**3 operations,
 # for a lag that is no polynomial; a polynomial lag's table costs O(L**2),
-# but the budget counts every table at the worst case.  The budget is two
-# tables of a first-order system at N = 500.  On one core of an x86-64
-# Xeon (CPython 3.11) one such delay took 2.3 s and two 5.3 s; four at
-# N = 250 took 0.9 s and thirty at N = 100 0.8 s, measured before the
-# tape skipped structural zeros.
+# but the budget counts every table at the worst case.  A lag the parser
+# folded to a constant builds no table and is not counted.  The budget is
+# two tables of a first-order system at N = 500.  On one core of an x86-64
+# Xeon (CPython 3.11) one exp(-t)/k lag took 0.7 s to reduce there and two
+# 1.5 s; four at N = 250 took 0.5 s and thirty at N = 100 0.4 s.
 MAX_HISTORY_TABLE_WORK = 2 * 505**3
 
 
@@ -82,61 +84,54 @@ class ReducedSystem(Record):
 
 def delay_argument_series(spec: DelaySpec, order: int) -> Series:
     """Expansion of the delayed argument t - lag about 0."""
+    if spec.proportional:
+        raise ProblemError(f"delay {spec.id!r} is proportional; its argument needs no expansion")
     law = spec.law
-    if isinstance(law, ConstantDelay):
-        coeffs = [0.0] * (order + 1)
-        coeffs[0] = -law.tau
-        if order >= 1:
-            coeffs[1] = 1.0
-        return Series(tuple(coeffs))
-    if isinstance(law, TimeVaryingDelay):
-        return ex.eval_series(ex.Sub(ex.TIME, law.lag), ex.time_series(order))
-    raise ProblemError(
-        f"delay {spec.id!r} is proportional; its argument needs no expansion"
-    )
-
-
-def _expansion(argument: Series, order: int) -> tuple[float, PowerTable | None]:
-    """The argument's value a0 at 0, and the power table through ``order``
-    of the argument minus a0, which every history leaf on that delay
-    composes with; no table when that inner series is exactly ``t``, as
-    for every constant lag."""
-    a0 = argument.coeffs[0]
-    tail = argument.truncated(order).coeffs[1:]  # subtracting a0 leaves these as they are
-    if tail == (1.0,) + (0.0,) * (order - 1):
-        return a0, None
-    return a0, PowerTable(Series((0.0,) + tail), order + 1)
+    lag = ex.Const(law.tau) if isinstance(law, ConstantDelay) else law.lag
+    return ex.eval_series(ex.Sub(ex.TIME, lag), ex.time_series(order))
 
 
 def history_leaf(phi: ex.Expr, deriv: int, argument: Series, order: int) -> Series:
     """Series of the deriv-th derivative of the history function evaluated
-    along the delayed argument.
+    along the delayed argument, through ``order``; see ``_leaf_builder``."""
+    return _leaf_builder(argument.truncated(order).coeffs)(phi, deriv)
 
-    Built in two stages: first the history is expanded about the
-    argument's value at t = 0 (substituting ``t -> a0 + s``), then the
-    derivative is taken on that expansion and ``s`` is substituted by the
-    argument series minus ``a0``, whose zero constant term makes the
-    polynomial composition exact through the truncation order.  This
-    avoids differentiating user expressions symbolically.
 
-    When the inner series is exactly ``t``, as for every constant lag, the
+def _leaf_builder(argument: Sequence[float]) -> Callable[[ex.Expr, int], Series]:
+    """The history leaves along one delayed argument, given by its
+    coefficients through the leaf order: ``leaf(phi, deriv)`` is the series
+    of phi^(deriv)(argument(t)), and every leaf shares one power table.
+
+    Each leaf is built in two stages: first the history is expanded about
+    the argument's value a0 at t = 0 (substituting ``t -> a0 + s``) and
+    differentiated there, then ``s`` is substituted by the argument series
+    minus ``a0``, whose zero constant term makes the polynomial composition
+    exact through the truncation order.  This avoids differentiating user
+    expressions symbolically.
+
+    When that inner series is exactly ``t``, as for every constant lag, the
     composition reduces to ``0.0 + c`` per coefficient: every other term it
     adds is a signed zero, and the leading ``0.0 +`` turns ``-0.0`` into
     ``0.0`` as its accumulation does.
     """
-    return _leaf(phi, deriv, order, *_expansion(argument, order))
+    a0, tail = argument[0], tuple(argument[1:])  # subtracting a0 leaves the tail as it is
+    order = len(tail)
+    table = None if tail == (1.0,) + (0.0,) * (order - 1) else power_table((0.0,) + tail, order + 1)
 
+    def leaf(phi: ex.Expr, deriv: int) -> Series:
+        rounds = order + deriv + 1
+        tape = ex.SeriesTape((a0, 1.0) + (0.0,) * (rounds - 2))
+        expansion = tape.lower(phi)
+        tape.run()
+        shifted = [math.perm(k + deriv, deriv) * c for k, c in enumerate(expansion[deriv:rounds])]
+        for k, c in enumerate(shifted):
+            if not math.isfinite(c):
+                raise non_finite_coefficient(c, k)
+        if table is None:
+            return Series(tuple(0.0 + c for c in shifted))
+        return Series(tuple(compose_powers(table, shifted)))
 
-def _leaf(
-    phi: ex.Expr, deriv: int, order: int, a0: float, powers: PowerTable | None
-) -> Series:
-    """``history_leaf`` from the argument's ``_expansion``, which the
-    leaves on one delay share."""
-    about = Series((a0, 1.0) + (0.0,) * (order + deriv - 1))
-    shifted = ex.eval_series(phi, about).differentiate(deriv)
-    if powers is None:
-        return Series(tuple(0.0 + c for c in shifted.coeffs))
-    return powers.compose(shifted.coeffs)
+    return leaf
 
 
 def substitute_history(
@@ -158,11 +153,13 @@ def substitute_history(
         )
     leaf_order = target + 2 * n + 2
     specs = problem.delay_map()
-    varying = {
+    varying = {  # a lag the parser folded to a constant builds no power table
         ref.delay
         for equation in problem.equations
         for ref in ex.iter_refs(equation)
-        if ref.delay is not None and isinstance(specs[ref.delay].law, TimeVaryingDelay)
+        if ref.delay is not None
+        and isinstance(specs[ref.delay].law, TimeVaryingDelay)
+        and not isinstance(specs[ref.delay].law.lag, ex.Const)
     }
     allowed = MAX_HISTORY_TABLE_WORK // (leaf_order + 1) ** 3
     if len(varying) > allowed:
@@ -171,8 +168,7 @@ def substitute_history(
             f"{allowed} time-varying delays, got {len(varying)}"
         )
     validity = validity or compute_validity(problem)
-    # delay id -> _expansion of its argument
-    expansions: dict[str, tuple[float, PowerTable | None]] = {}
+    builders: dict[str, Callable[[ex.Expr, int], Series]] = {}  # delay id -> _leaf_builder
     leaf_cache: dict[tuple[int, int, str], ex.KnownSeries] = {}
 
     def substitute(ref: ex.StateRef) -> ex.Expr:
@@ -180,11 +176,11 @@ def substitute_history(
             return ref
         key = (ref.var, ref.deriv, ref.delay)
         if key not in leaf_cache:
-            if ref.delay not in expansions:
+            if ref.delay not in builders:
                 argument = delay_argument_series(specs[ref.delay], leaf_order)
-                expansions[ref.delay] = _expansion(argument, leaf_order)
+                builders[ref.delay] = _leaf_builder(argument.coeffs)
             leaf_cache[key] = ex.KnownSeries(
-                _leaf(problem.phi[ref.var - 1], ref.deriv, leaf_order, *expansions[ref.delay])
+                builders[ref.delay](problem.phi[ref.var - 1], ref.deriv)
             )
         return leaf_cache[key]
 

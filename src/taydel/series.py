@@ -5,8 +5,9 @@ index k holds the k-th Taylor coefficient.  ``Series`` is a checked value:
 finite double-precision coefficients, immutable after construction, with
 the argument transforms the solver needs (truncation, derivative shift,
 q**k scaling, evaluation).  Arithmetic between series (sums, Cauchy
-products, the elementary recurrences, compositions) runs only on ``Tape``,
-which ``expr`` lowers expressions onto.
+products, the elementary recurrences) runs on ``Tape``, which ``expr``
+lowers expressions onto; the powers that compose history expansions are
+built eagerly by ``power_table`` with the tape's product rule.
 
 A known order is never silently extended: ``Series.truncated`` refuses
 padding, and ``expr.SeriesTape.lower`` refuses a known series shorter
@@ -17,7 +18,6 @@ zero.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from functools import partial, reduce
 from operator import add, mul
 from typing import Sequence
@@ -446,54 +446,56 @@ def compose_elementary(tag: str, u: Series, exponent: float | None = None) -> Se
     return Series(tuple(out))
 
 
-class PowerTable:
+def power_table(inner: Sequence[float], count: int) -> list[tuple[int, tuple[float, ...]]]:
     """The powers inner**0 .. inner**(count-1) of a series with a zero
-    constant term, on a tape of their own, for composing any number of
-    polynomials with one inner series.
+    constant term, for composing any number of polynomials with one inner
+    series, stored by column: column k is the first power that can be
+    nonzero at k, and the values at k of it and of the powers after it that
+    can be.
 
-    Power i is the tape's product of power i-1 and ``inner``, so it is
-    exactly 0 outside [i lo, i hi] for the support [lo, hi] of ``inner``
-    (lo >= 1), and a composition adds at index k only the powers whose
-    support holds k.  For a polynomial inner series of degree d a round
-    costs O(d) per power and the table O(d N**2) in all; otherwise
-    O(N**3).  Rounds run only when some composition first asks for them,
-    so an overflowing power is reported at the index a single composition
-    would reach it.
+    Power i is the product of power i-1 and ``inner``, computed with
+    ``product_term`` only over its support [i lo, min(i hi, L-1)] for the
+    support [lo, hi] of ``inner`` and L = len(inner): the tape's product
+    rule, with the same coefficients bit for bit.  For a polynomial inner
+    series of degree d the table costs O(d N**2) in all; otherwise
+    O(N**3).  A non-finite power is kept; ``compose_powers`` reports it.
     """
+    if inner[0] != 0.0:
+        raise SeriesError(
+            "polynomial composition requires a zero constant term in the "
+            f"inner series, got {inner[0]!r}"
+        )
+    rounds = len(inner)
+    firsts, columns = [0] * rounds, [[1.0]] + [[] for _ in range(1, rounds)]
+    nonzero = [k for k, c in enumerate(inner) if c]
+    if nonzero:  # otherwise every power past the 0th is 0
+        lo, hi = nonzero[0], nonzero[-1]
+        power, lo_a, hi_a = (1.0,) + (0.0,) * (rounds - 1), 0, 0
+        for i in range(1, min(count, (rounds - 1) // lo + 1)):
+            lo_i, hi_i = i * lo, min(i * hi, rounds - 1)
+            previous, power = power, [0.0] * rounds
+            for k in range(lo_i, hi_i + 1):
+                power[k] = value = product_term(previous, inner, lo_a, hi_a, lo, hi, k)
+                if not columns[k]:
+                    firsts[k] = i
+                columns[k].append(value)
+            lo_a, hi_a = lo_i, hi_i
+    return list(zip(firsts, map(tuple, columns)))
 
-    __slots__ = ("_tape", "_powers", "_los", "_his", "_columns")
 
-    def __init__(self, inner: Series, count: int):
-        if inner.coeffs[0] != 0.0:
-            raise SeriesError(
-                "polynomial composition requires a zero constant term in the "
-                f"inner series, got {inner.coeffs[0]!r}"
-            )
-        self._tape = tape = Tape(len(inner.coeffs))
-        self._powers = [tape.constant(1.0)]
-        for _ in range(1, count):
-            self._powers.append(tape.product(self._powers[-1], inner.coeffs))
-        # both nondecreasing in i; an empty support, [rounds, -1], comes last
-        self._los, self._his = zip(*map(tape.support, self._powers))
-        # column k: the first power whose support holds k, and the values
-        # at k of it and the powers after it whose support holds k
-        self._columns: list[tuple[int, tuple[float, ...]]] = []
-
-    def compose(self, outer: Sequence[float]) -> Series:
-        """Series of P(inner(t)) for the polynomial with coefficients
-        ``outer``; coefficient k adds outer[i] * inner**i at k for
-        i = 0..k in increasing i, leaving out the powers that are 0 there."""
-        isfinite = math.isfinite
-        out = []
-        for k in range(self._tape.rounds):
-            if k == len(self._columns):
-                self._tape.fill(k)
-                last = bisect_right(self._los, k)
-                first = bisect_left(self._his, k, 0, last)
-                self._columns.append((first, tuple(p[k] for p in self._powers[first:last])))
-            first, column = self._columns[k]
-            value = reduce(add, map(mul, outer[first : first + len(column)], column), 0.0)
-            if not isfinite(value):
-                raise non_finite_coefficient(value, k)
-            out.append(value)
-        return Series(tuple(out))
+def compose_powers(table: list, outer: Sequence[float]) -> list[float]:
+    """Coefficients of P(inner(t)) from the ``power_table`` of ``inner``,
+    for the polynomial with one coefficient in ``outer`` per power:
+    coefficient k adds outer[i] * inner**i at k in increasing i, leaving
+    out the powers that are 0 there.  A coefficient that is not finite is
+    reported as the first non-finite power in its column if there is one,
+    the index and value at which building the powers one index at a time
+    would have stopped."""
+    isfinite = math.isfinite
+    out = []
+    for k, (first, column) in enumerate(table):
+        value = reduce(add, map(mul, outer[first : first + len(column)], column), 0.0)
+        if not isfinite(value):
+            raise non_finite_coefficient(next((c for c in column if not isfinite(c)), value), k)
+        out.append(value)
+    return out

@@ -214,6 +214,17 @@ class TestSolve:
             for k, pivot in enumerate((0.5, 0.75, 0.875, 0.9375))
         ]
 
+    def test_constant_delayed_argument(self, run, tmp_path):
+        # t - (1 + t) = -1: the inner series of the composition is 0
+        path = tmp_path / "constant_argument.fde"
+        path.write_text(
+            "order = 1\nvars = u\ndelay d = vary(1 + t)\neq u' = -u@d\nphi u = exp(t)\n"
+            "init u = [1]\nhorizon = 1\ntaylor_order = 12\n"
+        )
+        code, out, _ = run("solve", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == "u: 1 -0.36787944117144233" + " 0" * 11
+
 
 class TestEval:
     def test_polynomial_point(self, run, fixtures_dir):
@@ -568,6 +579,38 @@ class TestExitContract:
             "2 time-varying delays, got 30\n",
         )
         assert run("solve", str(path), "--order", "20")[0] == 0
+
+    def test_lags_folded_to_constants_take_no_table_budget(self, run, tmp_path):
+        # vary(1/2) folds to a constant lag, whose inner series is t: it
+        # builds no power table, and is solved as constant(1/2) is
+        rows = []
+        for law in ("vary", "constant"):
+            path = tmp_path / f"{law}.fde"
+            path.write_text(
+                "order = 1\nvars = u\n"
+                + "".join(
+                    f"delay {d} = {law}({lag})\n" for d, lag in zip("abc", ("1/2", "1/4", "3/4"))
+                )
+                + "eq u' = -u@a - u@b - u@c\nphi u = 1\ninit u = [1]\nhorizon = 1\n"
+                "taylor_order = 500\n"
+            )
+            code, out, _ = run("solve", str(path))
+            assert code == 0
+            rows.append(next(line for line in out.splitlines() if line.startswith("u:")))
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("law", ["vary(1/2 + t^2/4)", "constant(1/2)"])
+    def test_overflowing_derivative_of_a_history_expansion_gets_one_line(
+        self, run, tmp_path, law
+    ):
+        # the expansion of phi'' about -1/2 is finite, and its derivative
+        # shift overflows at index 4
+        path = tmp_path / "overflow.fde"
+        path.write_text(
+            f"order = 2\nvars = u\ndelay d = {law}\neq u'' = u''@d\n"
+            "phi u = 1e306*exp(9*t)\ninit u = [1e306, 9e306]\nhorizon = 1\ntaylor_order = 20\n"
+        )
+        assert run("solve", str(path)) == (2, "", "error: non-finite coefficient inf at index 4\n")
 
     def test_non_finite_evaluated_value_gets_one_line(self, run, fixtures_dir):
         code, out, err = run(

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -23,7 +24,7 @@ from taydel.reduce import (
     substitute_history,
 )
 from taydel.problemfile import load_problem, parse_problem
-from taydel.series import PowerTable, Series
+from taydel.series import Series, SeriesError, compose_powers, power_table
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402
@@ -132,6 +133,63 @@ class TestHistoryLeaf:
             expected = float(mpmath.diff(phi_mp, alpha, deriv))
             assert leaf.evaluate(t) == pytest.approx(expected, abs=1e-7)
 
+    def test_argument_shorter_than_the_order_is_refused(self):
+        argument = delay_argument_series(DelaySpec("a", ConstantDelay(1.0)), 3)
+        with pytest.raises(SeriesError) as excinfo:
+            history_leaf(parse_expression("t"), 0, argument, 5)
+        assert str(excinfo.value) == "cannot truncate order-3 series to order 5"
+
+
+# polynomial histories along polynomial arguments, composed in exact rationals
+EXACT_HISTORIES = {
+    "t^2": (0, 0, 1),
+    "t^3 - 2*t": (0, -2, 0, 1),
+    "1 + t": (1, 1),
+    "(t - 1)^4/3": tuple(Fraction(c, 3) for c in (1, -4, 6, -4, 1)),
+}
+# each delay law with the coefficients of its argument t - lag(t)
+EXACT_ARGUMENTS = {
+    "vary(1/2 + t^2/4)": (
+        TimeVaryingDelay(parse_expression("1/2 + t^2/4")), (Fraction(-1, 2), 1, Fraction(-1, 4)),
+    ),
+    "vary(1 + t/2)": (TimeVaryingDelay(parse_expression("1 + t/2")), (-1, Fraction(1, 2))),
+    "constant(3/2)": (ConstantDelay(1.5), (Fraction(-3, 2), 1)),
+}
+
+
+def exact_product(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("law", sorted(EXACT_ARGUMENTS))
+@pytest.mark.parametrize("deriv", [0, 1, 2])
+@pytest.mark.parametrize("phi", sorted(EXACT_HISTORIES))
+def test_polynomial_history_leaf_matches_exact_rationals(phi, deriv, law):
+    """phi^(deriv)(t - lag(t)) at N = 40: exactly 0.0 past its degree, and
+    up to it within 1e-15 times its largest exact coefficient."""
+    coeffs = [Fraction(c) for c in EXACT_HISTORIES[phi]]
+    for _ in range(deriv):
+        coeffs = [k * c for k, c in enumerate(coeffs)][1:] or [Fraction(0)]
+    delay, argument = EXACT_ARGUMENTS[law]
+    exact = [Fraction(0)]
+    for c in reversed(coeffs):  # Horner in the argument
+        exact = exact_product(exact, argument)
+        exact[0] += c
+    degree = max((k for k, e in enumerate(exact) if e), default=0)
+    scale = max(abs(e) for e in exact)
+    series = delay_argument_series(DelaySpec("d", delay), 40)
+    leaf = history_leaf(parse_expression(phi), deriv, series, 40).coeffs
+    assert len(leaf) == 41
+    for k, got in enumerate(leaf):
+        if k > degree:
+            assert repr(got) == "0.0", k
+        else:
+            assert abs(Fraction(got) - exact[k]) <= 1e-15 * scale, k
+
 
 class TestSubstituteHistory:
     def test_polynomial_fixture_leaves(self, fixtures_dir):
@@ -204,14 +262,15 @@ def test_constant_lag_leaf_is_bit_identical_to_the_composition():
     # -t expanded about -1 holds -0.0 coefficients; the composition turns
     # them into 0.0, and the shortcut for an inner series equal to t must too
     argument = delay_argument_series(DelaySpec("a", ConstantDelay(1.0)), 6)
-    inner = Series((0.0,) + argument.coeffs[1:])
+    inner = (0.0,) + argument.coeffs[1:]
     for phi_text, deriv in (("-t", 0), ("-t^2 + 0*t", 1), ("exp(-t) - 1", 2)):
         about = Series((-1.0, 1.0) + (0.0,) * (5 + deriv))
         shifted = ex.eval_series(parse_expression(phi_text), about).differentiate(deriv)
         if phi_text == "-t":
             assert "-0.0" in repr(shifted)
         leaf = history_leaf(parse_expression(phi_text), deriv, argument, 6)
-        assert repr(leaf) == repr(PowerTable(inner, 7).compose(shifted.coeffs))
+        composed = compose_powers(power_table(inner, 7), shifted.coeffs)
+        assert repr(leaf) == repr(Series(tuple(composed)))
 
 
 class TestReducedSystemChecksItsReferences:
