@@ -85,12 +85,12 @@ class Series(Record):
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(map(float, self.coeffs))
         if not coeffs:
             raise SeriesError("a series needs at least its constant coefficient")
-        for k, c in enumerate(coeffs):
-            if not math.isfinite(c):
-                raise non_finite_coefficient(c, k)
+        if not all(map(math.isfinite, coeffs)):
+            k = next(k for k, c in enumerate(coeffs) if not math.isfinite(c))
+            raise non_finite_coefficient(coeffs[k], k)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -175,9 +175,16 @@ def product_term(a, b, lo_a: int, hi_a: int, lo_b: int, hi_b: int, k: int) -> fl
     exactly zero outside its support [lo, hi] and known through index k:
     the sum over the j where both a[j] and b[k-j] can be nonzero, in
     increasing j.  k must lie in [lo_a + lo_b, hi_a + hi_b], the product's
-    support, where that set of j is not empty."""
+    support, where that set of j is not empty.  One or two terms are added
+    directly, as ``sum()`` adds them; more go through ``sum()``, which
+    CPython compensates from 3.12 on, so their sum can differ there from
+    plain additions in its last bits."""
     lo = k - hi_b if k - hi_b > lo_a else lo_a
     hi = k - lo_b if k - lo_b < hi_a else hi_a
+    if lo == hi:
+        return 0.0 + a[lo] * b[k - lo]
+    if lo + 1 == hi:
+        return 0.0 + a[lo] * b[k - lo] + a[hi] * b[k - hi]
     return sum(map(mul, a[lo : hi + 1], b[k - lo : k - hi - 1 : -1] if hi < k else b[k - lo :: -1]))
 
 
@@ -185,11 +192,16 @@ def product_term(a, b, lo_a: int, hi_a: int, lo_b: int, hi_b: int, k: int) -> fl
 # coefficients c[0..k] of u, exactly zero outside its support [lo, hi], and
 # the result's known coefficients w[0..k-1]; index 0 applies f itself and
 # checks its domain.  Sums add their terms in increasing j with plain float
-# additions, so a coefficient does not depend on how many more are
-# computed, and run only over the j where c can be nonzero.
+# additions from 0.0 (``reduce``, not ``sum``, whose float sums are
+# compensated from CPython 3.12), so a coefficient does not depend on how
+# many more are computed, and run only over the j where c can be nonzero.
 
 def _weighted_sum(weights, a, b, lo: int, hi: int, k: int) -> float:
     """sum over j = lo..hi of weights[j-lo] * a[j] * b[k-j]; 0.0 when lo > hi."""
+    if lo == hi:
+        return 0.0 + weights[0] * a[lo] * b[k - lo]
+    if lo + 1 == hi:
+        return 0.0 + weights[0] * a[lo] * b[k - lo] + weights[1] * a[hi] * b[k - hi]
     down = b[k - lo : k - hi - 1 : -1] if hi < k else b[k - lo :: -1]
     return reduce(add, map(mul, map(mul, weights, a[lo : hi + 1]), down), 0.0)
 
@@ -207,7 +219,7 @@ def exp_term(c, lo: int, hi: int, w, k: int) -> float:
     """w' = u' w:  k w[k] = sum_{j=1..k} j c[j] w[k-j]."""
     if k == 0:
         return _overflow_guard(math.exp, c[0], "exp")
-    lo, hi = max(lo, 1), min(hi, k)
+    lo, hi = lo if lo > 1 else 1, hi if hi < k else k
     return _weighted_sum(range(lo, hi + 1), c, w, lo, hi, k) / k
 
 
@@ -219,7 +231,7 @@ def ln_term(c, lo: int, hi: int, w, k: int) -> float:
                 f"ln requires a positive constant term, got {c[0]!r}"
             )
         return math.log(c[0])
-    lo, hi = max(k - hi, 1), min(k - lo, k - 1)
+    lo, hi = k - hi if k - hi > 1 else 1, k - lo if lo > 1 else k - 1
     return (c[k] - _weighted_sum(range(lo, hi + 1), w, c, lo, hi, k) / k) / c[0]
 
 
@@ -231,7 +243,7 @@ def reciprocal_term(c, lo: int, hi: int, w, k: int) -> float:
                 "reciprocal requires a nonzero constant term, got 0"
             )
         return 1.0 / c[0]
-    lo, hi = max(lo, 1), min(hi, k)
+    lo, hi = lo if lo > 1 else 1, hi if hi < k else k
     down = w[k - lo : k - hi - 1 : -1] if hi < k else w[k - lo :: -1]
     return -reduce(add, map(mul, c[lo : hi + 1], down), 0.0) / c[0]
 
@@ -245,7 +257,7 @@ def pow_term(c, lo: int, hi: int, w, rho: float, k: int) -> float:
                 f"pow({rho:g}) requires a positive constant term, got {c[0]!r}"
             )
         return _overflow_guard(lambda base: base**rho, c[0], f"pow({rho:g})")
-    lo, hi = max(lo, 1), min(hi, k)
+    lo, hi = lo if lo > 1 else 1, hi if hi < k else k
     weights = [(rho + 1.0) * j - k for j in range(lo, hi + 1)]
     return _weighted_sum(weights, c, w, lo, hi, k) / (k * c[0])
 
@@ -255,7 +267,7 @@ def sincos_term(c, lo: int, hi: int, s, co, k: int) -> tuple[float, float]:
     and of cos(u) from s[0..k-1] and co[0..k-1]."""
     if k == 0:
         return math.sin(c[0]), math.cos(c[0])
-    lo, hi = max(lo, 1), min(hi, k)
+    lo, hi = lo if lo > 1 else 1, hi if hi < k else k
     j = range(lo, hi + 1)
     return _weighted_sum(j, c, co, lo, hi, k) / k, -_weighted_sum(j, c, s, lo, hi, k) / k
 
@@ -281,7 +293,9 @@ class Tape:
     outside its support, and a product is 0.0 outside its own without
     running its step.  Each skipped term is a finite number times a signed
     zero, and a sum that starts from 0.0 never holds -0.0, so the
-    coefficients equal those of the full sums bit for bit.
+    coefficients equal those of the full sums bit for bit.  Products add
+    with ``sum()``, whose last bits depend on the CPython version (see
+    ``product_term``).
     """
 
     __slots__ = ("rounds", "_ops", "_context", "_supports")

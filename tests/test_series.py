@@ -22,6 +22,7 @@ from taydel.series import (
     non_finite_coefficient,
     pow_term,
     power_table,
+    product_term,
     reciprocal_term,
     sincos_term,
 )
@@ -51,6 +52,11 @@ class TestConstruction:
             Series((1.0, float("nan")))
         with pytest.raises(SeriesError):
             Series((float("inf"),))
+
+    def test_names_the_first_non_finite_coefficient(self):
+        with pytest.raises(SeriesError) as excinfo:
+            Series((1.0, math.inf, math.nan))
+        assert str(excinfo.value) == "non-finite coefficient inf at index 1"
 
     def test_equality_is_entrywise(self):
         assert Series((1.0, 2.0)) == Series((1, 2))
@@ -554,6 +560,79 @@ def test_empty_sums_are_the_float_zero():
     assert repr(product_) == "[0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]"
     assert repr(quartic[:4]) == "[1.0, 0.0, 0.0, 0.0]"
     assert repr(sincos_term(cube, 3, 3, [0.0, 0.0], [1.0, 1.0], 2)) == "(0.0, -0.0)"
+
+
+# One- and two-term sums, which the kernels add without slicing.  Operands
+# cycle through EXTREMES, so subnormal products underflow to signed zeros,
+# +-1.797e308 products overflow to inf, a two-term sum of inf and -inf is
+# nan, and a weight times 1.797e308 is inf, which a zero turns into nan;
+# a few ordinary values make sums whose rounding depends on the order of
+# the operations.
+
+SHORT = EXTREMES + (0.1, -1 / 3, 2.5, 7.0)
+
+
+def cycled(start: int, rounds: int) -> tuple[float, ...]:
+    return tuple(SHORT[(start + i) % len(SHORT)] for i in range(rounds))
+
+
+def with_support(values, lo: int, hi: int, rounds: int) -> tuple[float, ...]:
+    """``values`` at lo..hi, signed zeros (alternating) elsewhere."""
+    return tuple(values[k - lo] if lo <= k <= hi else (0.0, -0.0)[k % 2] for k in range(rounds))
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_short_products_equal_full_range_formula(width):
+    # a factor of width 1 gives one term at every k of the product's
+    # support, one of width 2 two terms away from its ends
+    rounds = 7
+    for start in range(len(SHORT)):
+        for second in range(len(SHORT)):
+            values = (SHORT[start], SHORT[second])
+            a = with_support(values, 2, 1 + width, rounds)
+            b = with_support(cycled(start + second, rounds), 1, rounds - 1, rounds)
+
+            def full():
+                return [checked(full_product(a, b, k), k) for k in range(rounds)]
+
+            def taped():
+                tape = Tape(rounds)
+                out = tape.product(a, b)
+                tape.run()
+                return out
+
+            assert outcome(taped) == outcome(full)
+
+
+NON_FINITE = (math.inf, -math.inf, math.nan)
+
+
+def test_short_product_terms_are_sums_of_their_terms():
+    # product_term on operands a tape never holds: inf times a zero is nan
+    operands = SHORT + NON_FINITE
+    for x0 in operands:
+        for x1 in operands:
+            for y0, y1 in ((x1, x0), (-x0, x1), (1.0, -0.0), (-0.0, 5e-324)):
+                a, b = (x0, x1), (y0, y1)
+                for k, (lo, hi) in ((0, (0, 0)), (1, (0, 1)), (2, (1, 1))):
+                    expected = sum(a[j] * b[k - j] for j in range(lo, hi + 1))
+                    assert repr(product_term(a, b, 0, 1, 0, 1, k)) == repr(expected)
+
+
+@pytest.mark.parametrize("tag", ["exp", "ln", "reciprocal", "pow", "sin", "cos"])
+@pytest.mark.parametrize("width", [1, 2])
+def test_short_recurrences_equal_full_range_formula(tag, width):
+    # an argument with support [0, width] gives every recurrence sum width
+    # terms at each k >= width (ln: at each k > width), like the history
+    # leaves' time (a0, 1, 0, ...)
+    rounds = 6
+    for c0 in (0.5, 2.0, -1.5):
+        for start in range(len(SHORT)):
+            for second in range(len(SHORT) if width == 2 else 1):
+                c = with_support((c0, SHORT[start], SHORT[second]), 0, width, rounds)
+                for rho in (0.5, -2.25) if tag == "pow" else (None,):
+                    expected = outcome(lambda: full_outcome(c, None, tag, rho))
+                    assert outcome(lambda: tape_outcome(c, None, tag, rho)) == expected
 
 
 def full_power_table(inner, count, outer):

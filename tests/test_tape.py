@@ -6,6 +6,11 @@ right-hand side over full series each round, before it ran on a compiled
 tape.  The tape performs the same float operations in the same order, so
 the tables are bit-identical, signed zeros included; a change to the
 arithmetic of the march changes a digest.
+
+The digests hold on CPython 3.11 and earlier.  From 3.12, ``sum()`` of
+floats is compensated, so products of three or more terms can differ in
+their last bits, and the example1, example3_u1 and random-system digests
+do not match there.
 """
 
 import hashlib
