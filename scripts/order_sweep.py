@@ -6,10 +6,11 @@ a history system whose lag is no polynomial (so its power table keeps
 every product, where the family's polynomial lags skip most), times
 ``parse_problem`` on each problem (``parse_ms``), ``compute_validity``
 (``validity_ms``), the RK4 reference ``integrate_reference`` at h = 2e-3
-over [0, upper] on the N = 20 reduction (``reference_ms``, null where the
-integrator refuses the system), and ``substitute_history`` and
-``solve_reduced`` at N = 10, 20, 40, 80, 160 (each the fastest of
-``--repeat`` runs).  ``substitute_ms`` includes ``validity_ms``: the
+over [0, upper] on the N = 20 reduction (``reference_ms``) and ``compare``
+of that reduction's solution against it over 200 samples (``compare_ms``),
+both null where the integrator refuses the system, and
+``substitute_history`` and ``solve_reduced`` at N = 10, 20, 40, 80, 160
+(each the fastest of ``--repeat`` runs).  ``substitute_ms`` includes ``validity_ms``: the
 reduction computes the validity interval itself.  It fits the growth
 exponent of each in N by least squares on log-log axes over N >= 40 only:
 below that the entries are fractions of a millisecond, where timer noise
@@ -36,14 +37,19 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import families  # noqa: E402
 from taydel.engine import solve_reduced  # noqa: E402
-from taydel.oracle import OracleRestriction, check_supported, integrate_reference  # noqa: E402
+from taydel.oracle import (  # noqa: E402
+    OracleRestriction,
+    check_supported,
+    compare,
+    integrate_reference,
+)
 from taydel.problem import compute_validity  # noqa: E402
 from taydel.problemfile import parse_problem  # noqa: E402
 from taydel.reduce import substitute_history  # noqa: E402
 
 ORDERS = (10, 20, 40, 80, 160)
 FIT_FROM = 40  # the smallest order the exponent fit uses
-REFERENCE_ORDER, REFERENCE_STEP = 20, 2e-3  # as perfbench's validate_fine
+REFERENCE_ORDER, REFERENCE_STEP, SAMPLES = 20, 2e-3, 200  # as perfbench's validate_fine
 FIXTURES = ("example1", "example2", "example3", "example3_u1")
 EXP_LAG = """\
 order = 1
@@ -82,24 +88,27 @@ def exponent(times: list[float]) -> float | None:
     return round(sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / spread, 3)
 
 
-def reference_ms(problem, repeat: int) -> float | None:
-    """Fastest RK4 reference on the N = 20 reduction, None where
-    ``check_supported`` refuses it."""
+def oracle_ms(problem, repeat: int) -> tuple[float | None, float | None]:
+    """Fastest RK4 reference on the N = 20 reduction and fastest comparison
+    of its solution against it, None for both where ``check_supported``
+    refuses the reduction."""
     reduced = substitute_history(problem, trunc_order=REFERENCE_ORDER)
     try:
         check_supported(reduced)
     except OracleRestriction:
-        return None
+        return None, None
     upper = reduced.validity.upper
-    ms, _ = fastest(repeat, lambda: integrate_reference(reduced, REFERENCE_STEP, upper))
-    return round(ms, 3)
+    ms, trajectory = fastest(repeat, lambda: integrate_reference(reduced, REFERENCE_STEP, upper))
+    solution = solve_reduced(reduced)
+    compared, _ = fastest(repeat, lambda: compare(solution, trajectory, (0.0, upper), SAMPLES))
+    return round(ms, 3), round(compared, 3)
 
 
 def sweep(text: str, name: str, repeat: int) -> dict:
     ms, problem = fastest(repeat, lambda: parse_problem(text, name=name))
     row: dict = {"parse_ms": round(ms, 3)}
     row["validity_ms"] = round(fastest(repeat, lambda: compute_validity(problem))[0], 3)
-    row["reference_ms"] = reference_ms(problem, repeat)
+    row["reference_ms"], row["compare_ms"] = oracle_ms(problem, repeat)
     row["substitute_ms"], row["solve_ms"] = [], []
     for order in ORDERS:
         try:

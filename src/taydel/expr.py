@@ -662,17 +662,18 @@ def _fail(template: str, node: Expr, index: int, t: float, x=None):
 
 def compile_numeric(
     nodes: Sequence[Expr],
-    leaf: Callable[[StateRef], tuple[str, int]] | None = None,
+    leaf: Callable[[StateRef | KnownSeries], tuple[str, int]] | None = None,
 ) -> Callable[[float, object, object], tuple]:
     """Lower a list of trees once into one straight-line function
     ``f(t, y, dv) -> tuple``, one float per tree, by ``exec``: one statement
     and temporary per operator node, so no generated expression nests.  A
     left operand runs before the right one, a quotient's denominator before
     its zero test and numerator; a test a constant settles is left out.
-    ``leaf(ref)`` says where the value of a state reference lives, ``("y",
-    i)`` or ``("dv", i)`` for ``y[i]`` or ``dv[i]``; without it, evaluating
-    a reference is an error.  Constants, series and the nodes that error
-    texts name are bound as names of the function's globals, not literals."""
+    ``leaf(node)`` says where the value of a state reference or of a
+    history leaf (``KnownSeries``) lives, ``("y", i)`` or ``("dv", i)`` for
+    ``y[i]`` or ``dv[i]``, so the caller evaluates the series; without it,
+    evaluating either is an error.  Constants and the nodes that error texts
+    name are bound as names of the function's globals, not literals."""
     scope = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "log": math.log,
              "power_errors": (ValueError, ZeroDivisionError, OverflowError),
              "math_errors": (OverflowError, ValueError)}
@@ -697,11 +698,10 @@ def compile_numeric(
             return bind(node.value)
         if isinstance(node, Time):
             return "t"
-        if isinstance(node, KnownSeries):
-            return assign(f"{bind(node.series.evaluate)}(t)")
-        if isinstance(node, StateRef):
+        if isinstance(node, (StateRef, KnownSeries)):
             if leaf is None:
-                return assign(fail("state reference {node} not allowed in this context"))
+                kind = "state reference" if isinstance(node, StateRef) else "history leaf"
+                return assign(fail(kind + " {node} not allowed in this context"))
             array, i = leaf(node)
             return f"{array}[{i:d}]"
         if isinstance(node, (Add, Sub, Mul)):
@@ -745,8 +745,17 @@ def compile_numeric(
 
 def eval_numeric(node: Expr, t: float, resolve: Callable[[StateRef], float] | None = None) -> float:
     """Evaluate the tree at a single time value; ``resolve`` gives the value
-    of each distinct state reference, asked once the tree is compiled."""
+    of each distinct state reference, asked once the tree is compiled.
+    History leaves are evaluated at t where ``resolve`` is given; without
+    it, a tree holding either kind of leaf fails where it reaches one."""
     slots: dict[StateRef, int] = {}
-    leaf = None if resolve is None else (lambda ref: ("y", slots.setdefault(ref, len(slots))))
-    compiled = compile_numeric([node], leaf)
-    return compiled(t, [resolve(ref) for ref in slots], None)[0]
+    known: list[float] = []
+
+    def leaf(node: StateRef | KnownSeries) -> tuple[str, int]:
+        if isinstance(node, KnownSeries):
+            known.append(node.series.evaluate(t))
+            return "dv", len(known) - 1
+        return "y", slots.setdefault(node, len(slots))
+
+    compiled = compile_numeric([node], None if resolve is None else leaf)
+    return compiled(t, [resolve(ref) for ref in slots], known)[0]

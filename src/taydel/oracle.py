@@ -6,10 +6,12 @@ per variable, the value and derivatives up to order n-1.  Proportional
 lookups u^(d)(q*t) with d <= n-1 are served from the dense trajectory
 already computed (they always point backwards since q < 1), so the
 integrator needs no knowledge of the recurrence solver it validates.
-Each right-hand-side evaluation computes them once per (ratio, component),
-and stages at the same time share them.  The right-hand sides and the
-derivative shifts of the first-order form run as one function that
-``expr.compile_numeric`` generates per system, one call per evaluation.
+Each right-hand-side evaluation at a new stage time computes them once
+per (ratio, component) and evaluates each history leaf once; stages at
+the same time share both.  The right-hand sides and the derivative shifts
+of the first-order form run as one function that ``expr.compile_numeric``
+generates per system, one call per evaluation, which reads those values
+from a slot array.
 Top-order references under a proportional delay are outside this
 integrator's scope and are rejected up front.
 """
@@ -18,9 +20,10 @@ from __future__ import annotations
 
 import bisect
 import math
+from typing import Callable
 
 from . import expr as ex
-from .engine import OracleError, TaylorSolution, evaluate_solution
+from .engine import OracleError, TaylorSolution
 from .reduce import ReducedSystem
 from .series import Record
 
@@ -34,8 +37,9 @@ MAX_REFERENCE_STEPS = 100_000
 
 # The most grid points one comparison may sample: fifty times ``taydel
 # compare``'s default ``--samples 200``.  fixtures/example1.fde compared
-# 10,000 samples in 0.10 s at N = 10 and 0.68 s at N = 500 (100,000: 0.71 s
-# and 6.9 s), on one core of an x86-64 Xeon, CPython 3.11.
+# 10,000 samples in 0.03 s at N = 10 and 0.42-0.46 s at N = 500 (100,000:
+# 0.30 s and 4.2-4.9 s; Horner on the three series is most of it at N =
+# 500), on one core of an x86-64 Xeon, CPython 3.11.
 MAX_COMPARE_SAMPLES = 10_000
 
 
@@ -135,13 +139,23 @@ def integrate_reference(
     # lookups beyond the front; only the first call, at t = 0, runs without
     data = None
     # one slot per distinct proportional (ratio, component), grouped by
-    # ratio; uses[ratio] counts the references that read its slots
-    slots: dict[tuple[float, int], int] = {}
+    # ratio, and one per history leaf node; uses[ratio] counts the
+    # references that read its slots.  A leaf is keyed by identity: reduce
+    # gives one node to the references to one (variable, order, delay), and
+    # two equal series can differ in the sign of a zero they evaluate to
+    slots: dict[object, int] = {}
     groups: dict[float, list[tuple[int, int]]] = {}
     uses: dict[float, int] = {}
+    leaves: list[tuple[int, Callable[[float], float]]] = []
 
-    def leaf(ref: ex.StateRef) -> tuple[str, int]:
-        # the generated function reads y, the state, and dv, the delayed values
+    def leaf(ref: ex.StateRef | ex.KnownSeries) -> tuple[str, int]:
+        # the generated function reads y, the state, and dv, the other values
+        if isinstance(ref, ex.KnownSeries):
+            slot = slots.get(id(ref))
+            if slot is None:
+                slot = slots[id(ref)] = len(slots)
+                leaves.append((slot, ref.series.evaluate))
+            return "dv", slot
         component = (ref.var - 1) * n + ref.deriv
         if ref.delay is None:
             return "y", component
@@ -158,9 +172,9 @@ def integrate_reference(
         row for j, equation in enumerate(reduced.equations, start=1)
         for row in [*(ex.StateRef(j, d + 1) for d in range(n - 1)), equation]
     ], leaf)
-    # the delayed values depend on (t, step in progress) only, which RK4's
-    # k2 and k3, and k4 and the end-of-step slope, share; a reuse still
-    # counts the extrapolations the values took
+    # the delayed values and history leaves depend on (t, step in progress)
+    # only, which RK4's k2 and k3, and k4 and the end-of-step slope, share;
+    # a reuse still counts the extrapolations the values took
     last_key, last_values, last_count = None, [], 0
 
     def rhs(t: float, y) -> tuple[float, ...]:
@@ -171,6 +185,8 @@ def integrate_reference(
             extrapolations += last_count
             return generated(t, y, last_values)
         values = [0.0] * len(slots)
+        for slot, evaluate in leaves:
+            values[slot] = evaluate(t)
         count = 0
         front = times[-1]
         for ratio, members in groups.items():
@@ -289,11 +305,22 @@ def compare(
         )
     if samples < 2:
         raise OracleError(f"need at least 2 samples, got {samples}")
+    # evaluate_solution(solution, t, unchecked=True) against sample(traj,
+    # t, 0), with the same arithmetic, walked without their per-call work
+    times, states, derivs = traj.times, traj.states, traj.derivs
+    last, end = len(times) - 2, traj.horizon + 1e-12
+    columns = [(j, j * traj.order, s.evaluate) for j, s in enumerate(solution.series)]
     worst = [0.0] * traj.num_vars
     for i in range(samples):
         t = a + (b - a) * i / (samples - 1)
-        engine_values = evaluate_solution(solution, t, unchecked=True)
-        oracle_values = sample(traj, t, 0)
-        for j, (u, v) in enumerate(zip(engine_values, oracle_values)):
-            worst[j] = max(worst[j], abs(u - v))
+        if not 0.0 <= t <= end:
+            raise OracleError(f"t = {t:g} outside the integrated range [0, {traj.horizon:g}]")
+        k = bisect.bisect_right(times, t) - 1
+        if k > last:
+            k = last
+        p, q, r, s = _hermite_weights(times[k], times[k + 1] - times[k], t)
+        y0, d0, y1, d1 = states[k], derivs[k], states[k + 1], derivs[k + 1]
+        for j, c, evaluate in columns:
+            v = p * y0[c] + q * d0[c] + r * y1[c] + s * d1[c]
+            worst[j] = max(worst[j], abs(evaluate(t) - v))
     return tuple(worst)

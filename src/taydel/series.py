@@ -244,6 +244,10 @@ def reciprocal_term(c, lo: int, hi: int, w, k: int) -> float:
             )
         return 1.0 / c[0]
     lo, hi = lo if lo > 1 else 1, hi if hi < k else k
+    if lo == hi:
+        return -(0.0 + c[lo] * w[k - lo]) / c[0]
+    if lo + 1 == hi:
+        return -(0.0 + c[lo] * w[k - lo] + c[hi] * w[k - hi]) / c[0]
     down = w[k - lo : k - hi - 1 : -1] if hi < k else w[k - lo :: -1]
     return -reduce(add, map(mul, c[lo : hi + 1], down), 0.0) / c[0]
 

@@ -384,6 +384,25 @@ class TestCompileNumeric:
             compiled(0.0, None, None)
         assert str(excinfo.value) == "state reference u1'@a1 not allowed in this context"
 
+    def test_history_leaf_without_callback_fails_when_evaluated(self):
+        leaf = KnownSeries(Series((1.0, -2.0, 1.0, 0.0, 0.0)))
+        compiled = compile_numeric([Mul(Const(2.0), leaf)])
+        with pytest.raises(EvaluationError) as excinfo:
+            compiled(0.5, None, None)
+        assert str(excinfo.value) == (
+            "history leaf <series 1, -2, 1, 0, ...> not allowed in this context"
+        )
+
+    def test_history_leaves_are_read_through_the_leaf_callback(self):
+        leaf = KnownSeries(Series((1.0, -2.0, 3.0)))
+        node = Add(Mul(leaf, parse("u1")), leaf)
+        compiled = compile_numeric([node], lambda n: ("dv", 0) if n is leaf else ("y", 0))
+        assert compiled(0.5, [4.0], [7.0]) == (35.0,)
+        # eval_numeric evaluates the series itself, at t
+        assert eval_numeric(node, 0.5, lambda ref: 4.0) == 0.75 * 4.0 + 0.75
+        with pytest.raises(EvaluationError, match="^history leaf <series 1, -2, 3> not allowed"):
+            eval_numeric(node, 0.5)
+
     def test_reference_without_leaf_fails_in_evaluation_order(self):
         compiled = compile_numeric([parse("ln(t) * u1 + 1")])
         with pytest.raises(EvaluationError, match=r"^ln of nonpositive value 0 in ln\(t\) at t=0$"):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from taydel.engine import estimate_error, solve_reduced
+from taydel.engine import estimate_error, evaluate_solution, solve_reduced
 from taydel.oracle import (
     MAX_REFERENCE_STEPS,
     OracleError,
@@ -19,7 +19,9 @@ from taydel.oracle import (
 from taydel.problem import check_compatibility, check_h2, compute_validity
 from taydel.problemfile import load_problem, parse_problem
 from taydel.reduce import substitute_history
+from taydel.series import Series
 from test_engine import random_system
+from test_reduce import known_leaves
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402
@@ -211,6 +213,65 @@ class TestCompare:
             compare(solution, trajectory, (0.0, 0.9), 50)
         with pytest.raises(OracleError):
             compare(solution, trajectory, (0.4, 0.5), 1)
+
+
+def per_sample_compare(solution, traj, interval, samples):
+    """compare through the public point evaluators, one call each per sample."""
+    a, b = interval
+    worst = [0.0] * traj.num_vars
+    for i in range(samples):
+        t = a + (b - a) * i / (samples - 1)
+        engine_values = evaluate_solution(solution, t, unchecked=True)
+        for j, (u, v) in enumerate(zip(engine_values, sample(traj, t, 0))):
+            worst[j] = max(worst[j], abs(u - v))
+    return tuple(worst)
+
+
+def compare_problems(fixtures_dir):
+    names = ("example1", "example2", "example3_u1")
+    problems = [(name, load_problem(fixtures_dir / f"{name}.fde")) for name in names]
+    for seed in range(1, 11):
+        for family in (families.validate_family, families.history_family):
+            problems += [(f"{p.name}@{seed}", parse_problem(p.text)) for p in family(seed)]
+    return problems
+
+
+def test_compare_equals_the_per_sample_reference(fixtures_dir):
+    for name, problem in compare_problems(fixtures_dir):
+        reduced = substitute_history(problem)
+        solution = solve_reduced(reduced)
+        upper = reduced.validity.upper
+        trajectory = integrate_reference(reduced, 1e-2, upper)
+        runs = (((0.0, upper), 200), ((upper / 4, upper * 0.6), 37), ((0.0, upper), 2))
+        for interval, samples in runs:
+            expected = per_sample_compare(solution, trajectory, interval, samples)
+            got = compare(solution, trajectory, interval, samples)
+            assert (name, repr(got)) == (name, repr(expected))
+
+
+def test_history_leaves_are_evaluated_once_per_stage_time(fixtures_dir, monkeypatch):
+    # example2 has two history leaves; RK4 at h = 2e-3 on [0, 1] evaluates
+    # its right-hand side at 1,005 distinct (time, step) pairs: two per step,
+    # and seven in the first step, which it iterates three times
+    reduced = substitute_history(load_problem(fixtures_dir / "example2.fde"), trunc_order=20)
+    calls = []
+    evaluate = Series.evaluate
+    monkeypatch.setattr(Series, "evaluate", lambda self, t: calls.append(t) or evaluate(self, t))
+    integrate_reference(reduced, 2e-3, 1.0)
+    assert len(calls) == 2010
+
+
+def test_history_leaf_node_shared_by_two_references():
+    # substitute_history gives one node to every reference to one (variable,
+    # order, delay); the reference keeps one value per node
+    generated = next(p for p in families.history_family(1) if p.name == "history_p2n1")
+    reduced = substitute_history(parse_problem(generated.text))
+    leaves = [leaf for equation in reduced.equations for leaf in known_leaves(equation)]
+    assert (len(leaves), len({id(leaf) for leaf in leaves})) == (6, 5)
+    trajectory = integrate_reference(reduced, 2e-3, reduced.validity.upper)
+    assert sha256(trajectory_text(trajectory)) == (
+        "5ecbb632561bdbe2aac054dfbabecc132ad429ce3be1d2ac126be9eb94f546a8"
+    )
 
 
 # sha256 sums of the 17-digit grid, states, node slopes and extrapolation

@@ -33,3 +33,8 @@ def test_scripts_run_from_a_checkout():
     failing = sorted(name for name, row in problems.items() if "error" in row)
     assert failing == ["example3"]
     assert "ZeroPivotInconsistent" in problems["example3"]["error"]
+    # the oracle columns are both timed or both null (integrator refused)
+    timed = sorted(name for name, row in problems.items() if row["compare_ms"] is not None)
+    referenced = sorted(name for name, row in problems.items() if row["reference_ms"] is not None)
+    assert timed == referenced
+    assert "example1" in timed and all(problems[name]["compare_ms"] > 0 for name in timed)

@@ -619,6 +619,22 @@ def test_short_product_terms_are_sums_of_their_terms():
                     assert repr(product_term(a, b, 0, 1, 0, 1, k)) == repr(expected)
 
 
+def test_short_reciprocal_terms_equal_the_sliced_sum():
+    # reciprocal_term on operands a tape never holds, against the sliced
+    # form it keeps for three or more terms: -(sum c[j] w[k-j]) / c[0]
+    operands = SHORT + NON_FINITE
+    for x1 in operands:
+        for x2 in operands:
+            for y in ((x2, x1), (-x1, x2), (1.0, -0.0), (-0.0, 5e-324)):
+                for c0 in (1.0, -3.0, 5e-324, -1e300, math.inf, math.nan):
+                    c, w = (c0, x1, x2), (7.0,) + y
+                    # one term, two, one at hi = k, one at hi < k
+                    for k, lo, hi in ((1, 1, 1), (2, 1, 2), (2, 2, 2), (2, 1, 1)):
+                        down = w[k - lo : k - hi - 1 : -1] if hi < k else w[k - lo :: -1]
+                        sliced = -reduce(add, map(mul, c[lo : hi + 1], down), 0.0) / c[0]
+                        assert repr(reciprocal_term(c, lo, hi, w, k)) == repr(sliced)
+
+
 @pytest.mark.parametrize("tag", ["exp", "ln", "reciprocal", "pow", "sin", "cos"])
 @pytest.mark.parametrize("width", [1, 2])
 def test_short_recurrences_equal_full_range_formula(tag, width):
