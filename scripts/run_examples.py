@@ -27,7 +27,7 @@ def show(problem_path: Path) -> None:
         solution = solve_reduced(reduced)
     except ZeroPivotInconsistent as failure:
         print(f"marching stops: {failure}")
-        for name, coeffs in zip(failure.var_names, failure.partial_coeffs):
+        for name, coeffs in zip(reduced.var_names, failure.partial_coeffs):
             print(f"  partial {name}: " + " ".join(f"{c:.6g}" for c in coeffs))
         print()
         return

@@ -268,6 +268,8 @@ def _solve_one(args, path) -> tuple[int, str]:
 
 
 def cmd_solve(args) -> int:
+    if args.json and args.csv:
+        raise UsageError("--json and --csv cannot be used together")
     if args.all:
         directory = Path(args.file)
         if not directory.is_dir():

@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 from functools import cache, reduce
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import mul
 
 from . import expr as ex
 from .problem import CauchyProblem, ValidityInterval, require_h2
 from .reduce import ReducedSystem, substitute_history
-from .series import Record, Series, SeriesError, monomial, non_finite_coefficient
+from .series import Record, Series, SeriesError, monomial, non_finite_coefficient, plain_sum
 
 PIVOT_TOLERANCE = 1e-12
 RESIDUAL_TOLERANCE = 1e-9
@@ -76,7 +76,6 @@ class ZeroPivot(EngineError):
         self.pivot = pivot
         self.residual = residual
         self.partial_coeffs: tuple[tuple[float, ...], ...] | None = None
-        self.var_names: tuple[str, ...] | None = None
 
 
 class ZeroPivotInconsistent(ZeroPivot):
@@ -289,7 +288,7 @@ def _march_round(reduced: ReducedSystem, lowered, scales, k: int, pivot_log) -> 
                     terms = map(mul, terms, powers[k - 1 :: -1])
                     terms = map(mul, terms, scales[k - 1 :: -1])
                     terms = map(mul, terms, row[k + n - 1 : n - 1 : -1])
-                    value = reduce(add, terms, value)
+                    value = plain_sum(terms, value)
             pivot_log.append(PivotEntry(var=var, k=k, pivot=pivot))
             if abs(pivot) < PIVOT_TOLERANCE:
                 inconsistent = abs(value) > RESIDUAL_TOLERANCE
@@ -335,7 +334,6 @@ def solve_reduced(reduced: ReducedSystem) -> TaylorSolution:
                 row.append(value)
     except ZeroPivot as exc:
         exc.partial_coeffs = tuple(tuple(row) for row in table)
-        exc.var_names = reduced.var_names
         raise
     return TaylorSolution(
         var_names=reduced.var_names,

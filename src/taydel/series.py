@@ -18,6 +18,7 @@ zero.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial, reduce
 from operator import add, mul
 from typing import Sequence
@@ -170,31 +171,35 @@ def exp_linear(rate: float, order: int) -> Series:
     return Series(tuple(rate**k / math.factorial(k) for k in range(order + 1)))
 
 
+# Every coefficient sum adds its terms in order with plain float additions
+# from a float start, so a table has the same bits on every CPython.
+# Through 3.11 ``sum()`` adds that way and is the fastest; from 3.12 it
+# compensates float sums, so ``reduce`` adds them there.
+plain_sum = sum if sys.version_info < (3, 12) else partial(reduce, add)
+
+
 def product_term(a, b, lo_a: int, hi_a: int, lo_b: int, hi_b: int, k: int) -> float:
     """Coefficient k of the product of two coefficient sequences, each
     exactly zero outside its support [lo, hi] and known through index k:
-    the sum over the j where both a[j] and b[k-j] can be nonzero, in
-    increasing j.  k must lie in [lo_a + lo_b, hi_a + hi_b], the product's
-    support, where that set of j is not empty.  One or two terms are added
-    directly, as ``sum()`` adds them; more go through ``sum()``, which
-    CPython compensates from 3.12 on, so their sum can differ there from
-    plain additions in its last bits."""
+    the sum from 0.0 over the j where both a[j] and b[k-j] can be nonzero,
+    in increasing j, or 0.0 when there is no such j.  One or two terms are
+    added directly, more by ``plain_sum``."""
     lo = k - hi_b if k - hi_b > lo_a else lo_a
     hi = k - lo_b if k - lo_b < hi_a else hi_a
     if lo == hi:
         return 0.0 + a[lo] * b[k - lo]
     if lo + 1 == hi:
         return 0.0 + a[lo] * b[k - lo] + a[hi] * b[k - hi]
-    return sum(map(mul, a[lo : hi + 1], b[k - lo : k - hi - 1 : -1] if hi < k else b[k - lo :: -1]))
+    down = b[k - lo : k - hi - 1 : -1] if hi < k else b[k - lo :: -1]
+    return plain_sum(map(mul, a[lo : hi + 1], down), 0.0)
 
 
 # Per-index recurrences.  Each returns coefficient k of f(u) from the
 # coefficients c[0..k] of u, exactly zero outside its support [lo, hi], and
 # the result's known coefficients w[0..k-1]; index 0 applies f itself and
-# checks its domain.  Sums add their terms in increasing j with plain float
-# additions from 0.0 (``reduce``, not ``sum``, whose float sums are
-# compensated from CPython 3.12), so a coefficient does not depend on how
-# many more are computed, and run only over the j where c can be nonzero.
+# checks its domain.  Sums add their terms in increasing j from 0.0, so a
+# coefficient does not depend on how many more are computed, and run only
+# over the j where c can be nonzero.
 
 def _weighted_sum(weights, a, b, lo: int, hi: int, k: int) -> float:
     """sum over j = lo..hi of weights[j-lo] * a[j] * b[k-j]; 0.0 when lo > hi."""
@@ -203,7 +208,7 @@ def _weighted_sum(weights, a, b, lo: int, hi: int, k: int) -> float:
     if lo + 1 == hi:
         return 0.0 + weights[0] * a[lo] * b[k - lo] + weights[1] * a[hi] * b[k - hi]
     down = b[k - lo : k - hi - 1 : -1] if hi < k else b[k - lo :: -1]
-    return reduce(add, map(mul, map(mul, weights, a[lo : hi + 1]), down), 0.0)
+    return plain_sum(map(mul, map(mul, weights, a[lo : hi + 1]), down), 0.0)
 
 
 def _overflow_guard(fn, value: float, label: str) -> float:
@@ -243,13 +248,7 @@ def reciprocal_term(c, lo: int, hi: int, w, k: int) -> float:
                 "reciprocal requires a nonzero constant term, got 0"
             )
         return 1.0 / c[0]
-    lo, hi = lo if lo > 1 else 1, hi if hi < k else k
-    if lo == hi:
-        return -(0.0 + c[lo] * w[k - lo]) / c[0]
-    if lo + 1 == hi:
-        return -(0.0 + c[lo] * w[k - lo] + c[hi] * w[k - hi]) / c[0]
-    down = w[k - lo : k - hi - 1 : -1] if hi < k else w[k - lo :: -1]
-    return -reduce(add, map(mul, c[lo : hi + 1], down), 0.0) / c[0]
+    return -product_term(c, w, lo if lo > 1 else 1, hi, 0, k, k) / c[0]
 
 
 def pow_term(c, lo: int, hi: int, w, rho: float, k: int) -> float:
@@ -297,9 +296,7 @@ class Tape:
     outside its support, and a product is 0.0 outside its own without
     running its step.  Each skipped term is a finite number times a signed
     zero, and a sum that starts from 0.0 never holds -0.0, so the
-    coefficients equal those of the full sums bit for bit.  Products add
-    with ``sum()``, whose last bits depend on the CPython version (see
-    ``product_term``).
+    coefficients equal those of the full sums bit for bit.
     """
 
     __slots__ = ("rounds", "_ops", "_context", "_supports")
@@ -512,7 +509,7 @@ def compose_powers(table: list, outer: Sequence[float]) -> list[float]:
     isfinite = math.isfinite
     out = []
     for k, (first, column) in enumerate(table):
-        value = reduce(add, map(mul, outer[first : first + len(column)], column), 0.0)
+        value = plain_sum(map(mul, outer[first : first + len(column)], column), 0.0)
         if not isfinite(value):
             raise non_finite_coefficient(next((c for c in column if not isfinite(c)), value), k)
         out.append(value)

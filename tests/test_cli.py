@@ -203,6 +203,13 @@ class TestSolve:
         code, out, err = run("solve", str(tmp_path), "--all")
         assert (code, out, err) == (2, "", f"error: no .fde files in {tmp_path}\n")
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_json_and_csv_together_are_refused_before_reading(self, run, tmp_path, batch):
+        # the file does not exist: a refusal after reading it would exit 1
+        missing = str(tmp_path / "missing.fde")
+        code, out, err = run("solve", missing, "--json", "--csv", *(("--all",) if batch else ()))
+        assert (code, out, err) == (2, "", "error: --json and --csv cannot be used together\n")
+
     def test_json_pivot_log_of_a_neutral_equation(self, run, tmp_path):
         path = tmp_path / "neutral.fde"
         path.write_text(SCALAR.replace("u@half - u", "u + 1/2*u'@half")

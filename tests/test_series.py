@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taydel.engine import solve
+from taydel.problemfile import parse_problem
 from taydel.series import (
     Series,
     SeriesDomainError,
@@ -429,7 +431,7 @@ def planted(draw, rounds: int) -> tuple[float, ...]:
 
 
 def full_product(a, b, k):
-    return sum(map(mul, a[: k + 1], b[k::-1]))
+    return reduce(add, map(mul, a[: k + 1], b[k::-1]), 0.0)
 
 
 def full_weighted_sum(weights, a, b, k):
@@ -621,7 +623,7 @@ def test_short_product_terms_are_sums_of_their_terms():
 
 def test_short_reciprocal_terms_equal_the_sliced_sum():
     # reciprocal_term on operands a tape never holds, against the sliced
-    # form it keeps for three or more terms: -(sum c[j] w[k-j]) / c[0]
+    # form -(sum c[j] w[k-j]) / c[0]
     operands = SHORT + NON_FINITE
     for x1 in operands:
         for x2 in operands:
@@ -673,3 +675,51 @@ def test_power_table_equals_full_products(rounds, data):
     expected = outcome(lambda: full_power_table(inner, count, outer))
     got = outcome(lambda: Series(tuple(compose_powers(power_table(inner, count), outer))))
     assert got == expected
+
+
+# The summation rule: every coefficient sum adds its terms in increasing
+# index with plain float additions.  The terms 1e16, 1.0, -1e16 add to 0.0
+# that way and to 1.0 compensated (``math.fsum``, or ``sum()`` from CPython
+# 3.12), so each kernel below gives the plain sum on every CPython.
+
+PLAIN_TERMS = (1e16, 1.0, -1e16)
+
+
+def test_product_of_three_terms_adds_plainly():
+    assert (repr(reduce(add, PLAIN_TERMS, 0.0)), math.fsum(PLAIN_TERMS)) == ("0.0", 1.0)
+    assert repr(product_term(PLAIN_TERMS, (1.0, 1.0, 1.0), 0, 2, 0, 2, 2)) == "0.0"
+
+
+def test_weighted_recurrence_sum_adds_plainly():
+    # exp's terms j * c[j] * w[3-j] for j = 1, 2, 3
+    c, w = (0.0, 1e16, 0.5, -1e16 / 3), (1.0, 1.0, 1.0)
+    assert tuple(j * c[j] * w[3 - j] for j in (1, 2, 3)) == PLAIN_TERMS
+    assert repr(exp_term(c, 0, 3, w, 3)) == "0.0"
+
+
+def test_reciprocal_sum_adds_plainly():
+    # -(c[1] w[2] + c[2] w[1] + c[3] w[0]) / c[0], a negative zero
+    assert repr(reciprocal_term((1.0,) + PLAIN_TERMS, 0, 3, [1.0, 1.0, 1.0], 3)) == "-0.0"
+
+
+def test_power_composition_adds_plainly():
+    # (t + t^2 + t^3)**i at index 3 is 1, 2, 1 for i = 1, 2, 3
+    table = power_table((0.0, 1.0, 1.0, 1.0), 4)
+    assert table[3] == (1, (1.0, 2.0, 1.0))
+    assert repr(compose_powers(table, (0.0, 1e16, 0.5, -1e16))[3]) == "0.0"
+
+
+def test_neutral_fold_adds_plainly():
+    # u' = g(t) + c(t) u'(t/2) with c = t + t^2 - 3*2^54 t^3 has pivot 1, and
+    # u[1..3] = 1, 1, 2^56.  At k = 3 the fold adds c[l] 2^(l-3) (4-l) u[4-l]
+    # for l = 1, 2, 3, that is 3*2^54, 1.0 and -3*2^54, to g[3] = 0.0, and
+    # u[4] is that sum over 4: 0.25 compensated
+    problem = parse_problem(
+        "order = 1\nvars = u\ndelay half = proportional(1/2)\n"
+        "eq u' = 1 + t + 216172782113783808*t^2"
+        " + (t + t^2 - 54043195528445952*t^3) * u'@half\n"
+        "init u = [0]\nhorizon = 0.1\ntaylor_order = 4\n"
+    )
+    coeffs = solve(problem).series[0].coeffs
+    assert coeffs[1:4] == (1.0, 1.0, 2.0**56)
+    assert repr(coeffs[4]) == "0.0"

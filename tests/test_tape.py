@@ -7,16 +7,24 @@ tape.  The tape performs the same float operations in the same order, so
 the tables are bit-identical, signed zeros included; a change to the
 arithmetic of the march changes a digest.
 
-The digests hold on CPython 3.11 and earlier.  From 3.12, ``sum()`` of
-floats is compensated, so products of three or more terms can differ in
-their last bits, and the example1, example3_u1 and random-system digests
-do not match there.
+Every coefficient sum adds its terms in order with plain float additions
+(``series.plain_sum``; ``sum()`` of floats is compensated from CPython
+3.12), so the digests hold on CPython 3.10 through 3.13.  The tables are
+also compared in full with those printed by every other ``python3.10`` to
+``python3.13`` on PATH that starts.
 """
 
 import hashlib
+import inspect
+import json
 import math
+import os
 import random
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +59,40 @@ def sha256(text: str) -> str:
 def test_fixture_tables_match_recorded_digests(fixtures_dir, name):
     solution = solve(load_problem(fixtures_dir / f"{name}.fde"), trunc_order=60)
     assert sha256(outcome_text(solution)) == FIXTURE_DIGESTS[name]
+
+
+# prints {path: outcome_text} for the problem files it is given
+CHILD = inspect.getsource(outcome_text) + """
+import json, sys
+from taydel.engine import solve
+from taydel.problemfile import load_problem
+print(json.dumps({p: outcome_text(solve(load_problem(p), trunc_order=60)) for p in sys.argv[1:]}))
+"""
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_other_interpreters_print_the_same_tables(fixtures_dir):
+    paths = [str(fixtures_dir / f"{name}.fde") for name in sorted(FIXTURE_DIGESTS)]
+    expected = {path: outcome_text(solve(load_problem(path), trunc_order=60)) for path in paths}
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    ran = []
+    for minor in range(10, 14):
+        exe = shutil.which(f"python3.{minor}")
+        if minor == sys.version_info.minor or exe is None:
+            continue
+        probe = subprocess.run([exe, "-c", "pass"], capture_output=True, env=env, timeout=60)
+        if probe.returncode:  # e.g. a version manager's shim for a version it does not select
+            continue
+        child = subprocess.run(
+            [exe, "-c", CHILD, *paths], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert (exe, child.returncode, child.stderr) == (exe, 0, "")
+        tables = json.loads(child.stdout)
+        differ = [Path(path).stem for path in paths if tables[path] != expected[path]]
+        assert (exe, differ) == (exe, [])
+        ran.append(exe)
+    if not ran:
+        pytest.skip("no other CPython 3.10-3.13 on PATH starts")
 
 
 def test_random_systems_match_recorded_digest():
