@@ -52,11 +52,18 @@ class StructureError(ValueError):
 
 class EvaluationError(ValueError):
     """Numeric evaluation hit a domain error (division by zero, log of a
-    nonpositive value, fractional power of a negative base).  ``index`` is
-    the position of the failed tree among those ``compile_numeric`` lowered
-    together, and ``t`` the time it was evaluated at."""
+    nonpositive value, fractional power of a negative base) or an overflow.
+    A failed guard of a ``compile_numeric`` function says where: ``index``
+    is the position of the failed tree among those lowered together, ``t``
+    the time it was evaluated at, ``node`` the failed operation and
+    ``reason`` what went wrong, ``None`` for a power that overflowed."""
 
-    index, t = 0, 0.0
+    index, t, node, reason = 0, 0.0, None, None
+
+    def describe(self, variables: Sequence[str] | None = None) -> str:
+        """The failure without its time, naming the variables as given."""
+        where = pretty(self.node, variables)
+        return f"{where} overflows" if self.reason is None else f"{self.reason} in {where}"
 
 
 # AST ------------------------------------------------------------------------
@@ -651,13 +658,23 @@ def time_series(order: int) -> Series:
     return monomial(1, order)
 
 
-def _fail(template: str, node: Expr, index: int, t: float, x=None):
-    """Raise ``template`` filled in for a failed guard on ``node``, in the
-    ``index``-th tree compiled together: ``x`` is the guarded argument or the
-    exception a power raised.  Only here does a compiled tree run ``pretty``."""
-    error = EvaluationError(template.format(node=pretty(node), t=t, x=x))
-    error.index, error.t = index, t
+def _fail(reason: str, node: Expr, index: int, t: float, x=None):
+    """Raise the failure of a guard on ``node``, in the ``index``-th tree
+    compiled together: ``reason`` filled in with ``x``, the guarded argument
+    or the exception a power raised, which gives no reason when it is an
+    overflow.  Only here and in ``_refuse`` does a compiled tree run
+    ``pretty``."""
+    error = EvaluationError()
+    error.index, error.t, error.node = index, t, node
+    error.reason = None if isinstance(x, OverflowError) else reason.format(x=x)
+    error.args = (f"{error.describe()} at t={t:g}",)
     raise error from None
+
+
+def _refuse(kind: str, node: Expr):
+    """Raise the refusal of a ``kind`` leaf, ``node``, met with no ``leaf``
+    function to place its value."""
+    raise EvaluationError(f"{kind} {pretty(node)} not allowed in this context")
 
 
 def compile_numeric(
@@ -678,7 +695,6 @@ def compile_numeric(
              "power_errors": (ValueError, ZeroDivisionError, OverflowError),
              "math_errors": (OverflowError, ValueError)}
     body: list[str] = []
-    at = " in {node} at t={t:g}"
 
     def bind(value) -> str:
         name = f"g{len(scope)}"
@@ -691,8 +707,8 @@ def compile_numeric(
         return name
 
     def lower(node: Expr, index: int) -> str:
-        def fail(template: str, *args: str) -> str:
-            return f"{bind(partial(_fail, template, node, index))}({', '.join(('t',) + args)})"
+        def fail(reason: str, *args: str) -> str:
+            return f"{bind(partial(_fail, reason, node, index))}({', '.join(('t',) + args)})"
 
         if isinstance(node, Const):
             return bind(node.value)
@@ -701,7 +717,7 @@ def compile_numeric(
         if isinstance(node, (StateRef, KnownSeries)):
             if leaf is None:
                 kind = "state reference" if isinstance(node, StateRef) else "history leaf"
-                return assign(fail(kind + " {node} not allowed in this context"))
+                return assign(f"{bind(partial(_refuse, kind, node))}()")
             array, i = leaf(node)
             return f"{array}[{i:d}]"
         if isinstance(node, (Add, Sub, Mul)):
@@ -712,15 +728,15 @@ def compile_numeric(
         if isinstance(node, Div):
             b = lower(node.right, index)
             if not (isinstance(node.right, Const) and node.right.value):  # else never zero
-                body.append(f"if {b} == 0.0: " + fail("division by zero" + at))
+                body.append(f"if {b} == 0.0: " + fail("division by zero"))
             return assign(f"{lower(node.left, index)} / {b}")
         if isinstance(node, Pow):
             a, out = lower(node.base, index), f"v{len(body)}"
             body.append(f"try: {out} = {a} ** {bind(node.exponent)}")
-            body.append("except power_errors as e: " + fail("{x}" + at, "e"))
+            body.append("except power_errors as e: " + fail("{x}", "e"))
             if not float(node.exponent).is_integer():  # else never complex
                 body.append(f"if isinstance({out}, complex): "
-                            + fail("fractional power of negative base" + at))
+                            + fail("fractional power of negative base"))
             return out
         if not isinstance(node, Func):
             raise TypeError(f"not an expression node: {node!r}")
@@ -728,13 +744,13 @@ def compile_numeric(
             raise EvaluationError(f"unknown function {node.fn!r}")
         a = lower(node.arg, index)
         if node.fn == "ln":
-            body.append(f"if {a} <= 0.0: " + fail("ln of nonpositive value {x:g}" + at, a))
+            body.append(f"if {a} <= 0.0: " + fail("ln of nonpositive value {x:g}", a))
             return assign(f"log({a})")
         # exp overflows past about 709.78; sin and cos refuse infinity
         failure = "overflows at" if node.fn == "exp" else "of non-finite"
         out = f"v{len(body)}"
         body.append(f"try: {out} = {node.fn}({a})")
-        body.append("except math_errors: " + fail(f"{node.fn} {failure} argument {{x:g}}{at}", a))
+        body.append("except math_errors: " + fail(f"{node.fn} {failure} argument {{x:g}}", a))
         return out
 
     outputs = [lower(node, index) for index, node in enumerate(nodes)]

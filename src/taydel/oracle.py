@@ -25,7 +25,7 @@ from typing import Callable
 from . import expr as ex
 from .engine import OracleError, TaylorSolution
 from .reduce import ReducedSystem
-from .series import Record
+from .series import Record, Series
 
 
 # The most RK4 steps one reference integration may take, refused before it
@@ -76,6 +76,23 @@ def _hermite_weights(t0, h, t):
     s2 = s * s
     s3 = s2 * s
     return 2 * s3 - 3 * s2 + 1, (s3 - 2 * s2 + s) * h, -2 * s3 + 3 * s2, (s3 - s2) * h
+
+
+def _leaf_evaluator(leaves: list[tuple[int, Series]], size: int) -> Callable[[float], list[float]]:
+    """One generated function of t that returns a list of ``size`` floats,
+    each history leaf's value at t in its slot and 0.0 in the others.  A
+    leaf's Horner steps are written out as statements, over the same terms
+    as ``Series.evaluate``; nested parentheses would pass CPython's nesting
+    limit at N = 500."""
+    body = [f"v = [0.0] * {size:d}"]
+    for slot, series in leaves:
+        top, *rest = series.horner_terms
+        body.append(f"a = 0.0 * t + {top!r}")
+        body += [f"a = a * t + {c!r}" for c in rest]
+        body.append(f"v[{slot:d}] = a")
+    scope: dict = {}
+    exec("def f(t):\n    " + "\n    ".join(body + ["return v"]), scope)
+    return scope["f"]
 
 
 def check_supported(reduced: ReducedSystem) -> None:
@@ -136,7 +153,7 @@ def integrate_reference(
     derivs: list[tuple[float, ...]] = []
     extrapolations = 0
     # Hermite data (t0, h, y0, d0, y1, d1) of the step in progress, for
-    # lookups beyond the front; only the first call, at t = 0, runs without
+    # lookups beyond the front; only the lookups at t = 0 run without
     data = None
     # one slot per distinct proportional (ratio, component), grouped by
     # ratio, and one per history leaf node; uses[ratio] counts the
@@ -146,7 +163,7 @@ def integrate_reference(
     slots: dict[object, int] = {}
     groups: dict[float, list[tuple[int, int]]] = {}
     uses: dict[float, int] = {}
-    leaves: list[tuple[int, Callable[[float], float]]] = []
+    leaves: list[tuple[int, Series]] = []
 
     def leaf(ref: ex.StateRef | ex.KnownSeries) -> tuple[str, int]:
         # the generated function reads y, the state, and dv, the other values
@@ -154,7 +171,7 @@ def integrate_reference(
             slot = slots.get(id(ref))
             if slot is None:
                 slot = slots[id(ref)] = len(slots)
-                leaves.append((slot, ref.series.evaluate))
+                leaves.append((slot, ref.series))
             return "dv", slot
         component = (ref.var - 1) * n + ref.deriv
         if ref.delay is None:
@@ -172,21 +189,14 @@ def integrate_reference(
         row for j, equation in enumerate(reduced.equations, start=1)
         for row in [*(ex.StateRef(j, d + 1) for d in range(n - 1)), equation]
     ], leaf)
-    # the delayed values and history leaves depend on (t, step in progress)
-    # only, which RK4's k2 and k3, and k4 and the end-of-step slope, share;
-    # a reuse still counts the extrapolations the values took
-    last_key, last_values, last_count = None, [], 0
+    leaf_values = _leaf_evaluator(leaves, len(slots))
 
-    def rhs(t: float, y) -> tuple[float, ...]:
-        # a lookup at q*t, 0 < q < 1, never passes the end of the step in
-        # progress, whose Hermite data serve it past the last node
-        nonlocal extrapolations, last_key, last_values, last_count
-        if (t, data) == last_key:
-            extrapolations += last_count
-            return generated(t, y, last_values)
-        values = [0.0] * len(slots)
-        for slot, evaluate in leaves:
-            values[slot] = evaluate(t)
+    def lookups(t: float) -> tuple[list[float], int]:
+        """The values the generated function reads from dv at t, and how
+        many references read an extrapolated one.  A lookup at q*t,
+        0 < q < 1, never passes the end of the step in progress, whose
+        Hermite data serve it past the last node."""
+        values = leaf_values(t)
         count = 0
         front = times[-1]
         for ratio, members in groups.items():
@@ -205,19 +215,26 @@ def integrate_reference(
             a, b, c, d = _hermite_weights(t0, h, s)
             for slot, k in members:
                 values[slot] = a * y0[k] + b * d0[k] + c * y1[k] + d * d1[k]
-        last_key, last_values, last_count = (t, data), values, count
-        extrapolations += count
-        return generated(t, y, values)
+        return values, count
 
     def rk4_step(t0: float, y0: tuple[float, ...], h: float, k1):
+        """The state at t0 + h and the slope there.  The lookups depend on
+        the time and the step in progress only: k2 and k3 share those at
+        t0 + h/2, k4 and the slope those at t0 + h, and each use counts
+        its extrapolations."""
+        nonlocal extrapolations
         half, sixth = h / 2, h / 6
-        k2 = rhs(t0 + half, [y + half * k for y, k in zip(y0, k1)])
-        k3 = rhs(t0 + half, [y + half * k for y, k in zip(y0, k2)])
-        k4 = rhs(t0 + h, [y + h * k for y, k in zip(y0, k3)])
-        return tuple([
+        mid, count = lookups(t0 + half)
+        end, count_end = lookups(t0 + h)
+        extrapolations += 2 * (count + count_end)
+        k2 = generated(t0 + half, [y + half * k for y, k in zip(y0, k1)], mid)
+        k3 = generated(t0 + half, [y + half * k for y, k in zip(y0, k2)], mid)
+        k4 = generated(t0 + h, [y + h * k for y, k in zip(y0, k3)], end)
+        y1 = tuple([
             y + sixth * (a + 2 * b + 2 * c + d)
             for y, a, b, c, d in zip(y0, k1, k2, k3, k4)
         ])
+        return y1, generated(t0 + h, y1, end)
 
     try:
         for i in range(steps):
@@ -227,24 +244,24 @@ def integrate_reference(
             if i == 0:
                 # no previous step to extrapolate from: iterate the step,
                 # feeding each pass's Hermite polynomial to the next (the
-                # fixed point of this map has the integrator's full order)
-                d0 = rhs(0.0, y0)
+                # fixed point of this map has the integrator's full order);
+                # nothing extrapolates at t = 0
+                d0 = generated(0.0, y0, lookups(0.0)[0])
                 y1 = tuple(y + h * d for y, d in zip(y0, d0))  # Euler predictor
                 d1 = d0
                 for _ in range(3):
                     data = (0.0, h, y0, d0, y1, d1)
-                    y1 = rk4_step(0.0, y0, h, d0)
-                    d1 = rhs(h, y1)
+                    y1, d1 = rk4_step(0.0, y0, h, d0)
                 derivs.append(d0)
             else:
                 data = (times[-2], times[-1] - times[-2], states[-2], derivs[-2], y0, derivs[-1])
-                y1 = rk4_step(t0, y0, h, derivs[-1])
-                d1 = rhs(t0 + h, y1)
+                y1, d1 = rk4_step(t0, y0, h, derivs[-1])
             times.append(t0 + h)
             states.append(y1)
             derivs.append(d1)
     except ex.EvaluationError as exc:
-        raise OracleError(f"equation {exc.index // n + 1} at t = {exc.t:g}: {exc}") from None
+        what = exc.describe(reduced.var_names)
+        raise OracleError(f"equation {exc.index // n + 1}: {what} at t = {exc.t:g}") from None
 
     # an RK4 update keeps inf and NaN, so a non-finite node leaves the last
     # one non-finite; only then is the first one looked for

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from operator import add, mul
 from typing import Sequence
 
@@ -144,10 +144,20 @@ class Series(Record):
             )
         )
 
+    @cached_property
+    def horner_terms(self) -> tuple[float, ...]:
+        """The coefficients Horner's rule from 0.0 visits, highest first:
+        from the highest nonzero one, c, or all when none is nonzero.  The
+        steps above c yield a signed zero, or NaN where t is infinite or
+        NaN; times t plus c, that gives c or the same NaN, as the first
+        step ``0.0 * t + c`` does, so the value keeps every bit."""
+        terms = self.coeffs[::-1]
+        return terms[next((k for k, c in enumerate(terms) if c), 0):]
+
     def evaluate(self, t: float) -> float:
         """Horner evaluation of the truncated polynomial."""
         acc = 0.0
-        for c in reversed(self.coeffs):
+        for c in self.horner_terms:
             acc = acc * t + c
         return acc
 

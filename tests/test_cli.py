@@ -341,6 +341,14 @@ class TestCompare:
         assert [line.split(":")[0] for line in out.splitlines()] == ["u1", "u2", "u3"]
         assert err == "error: measured error exceeds the truncation bound for u1, u2, u3\n"
 
+    def test_reference_overflow_names_the_operation_once(self, run, tmp_path):
+        # the radius of u' = 10*u^2 + u(t/2) from u(0) = 1 is about 0.1, so the
+        # reference squares a value past the double range before t = 1
+        path = tmp_path / "blowup.fde"
+        path.write_text(SCALAR.replace("u@half - u", "10*u^2 + u@half"))
+        code, out, err = run("compare", str(path), "--order", "20")
+        assert (code, out, err) == (2, "", "error: equation 1: u^2 overflows at t = 0.0985\n")
+
 
 class TestExitContract:
     def test_missing_file(self, run):
@@ -772,19 +780,21 @@ class TestExitContract:
 
     def test_cli_import_does_not_load_logging(self):
         """Nor dataclasses and inspect, which the value classes no longer
-        need, nor the reference integrator, which only compare loads."""
+        need, nor the reference integrator, which only compare loads.  The
+        child runs without ``site`` (``-S``) and with only ``src`` on its
+        path: ``site`` itself can import ``inspect`` while it processes an
+        installation's ``.pth`` files, before taydel loads."""
         src = Path(__file__).resolve().parent.parent / "src"
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         code = (
             "import sys, taydel.cli; "
             "print([m for m in ('logging', 'dataclasses', 'inspect', 'taydel.oracle') "
             "if m in sys.modules])"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-S", "-c", code],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=dict(os.environ, PYTHONPATH=str(src)),
             timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from taydel import oracle
 from taydel.engine import estimate_error, evaluate_solution, solve_reduced
 from taydel.oracle import (
     MAX_REFERENCE_STEPS,
@@ -22,6 +24,7 @@ from taydel.reduce import substitute_history
 from taydel.series import Series
 from test_engine import random_system
 from test_reduce import known_leaves
+from test_series import SPECIAL_COEFFS, SPECIAL_TIMES
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import families  # noqa: E402
@@ -121,7 +124,7 @@ class TestIntegrate:
         with pytest.raises(OracleError) as excinfo:
             integrate_reference(reduced, 0.125, 1.0)
         assert str(excinfo.value) == (
-            "equation 2 at t = 0.5: division by zero in 1 / (t - 0.5) at t=0.5"
+            "equation 2: division by zero in 1 / (t - 0.5) at t = 0.5"
         )
 
     def test_domain_error_in_the_first_evaluation(self):
@@ -129,7 +132,7 @@ class TestIntegrate:
         reduced = plain_reduced("1/t + u1")
         with pytest.raises(OracleError) as excinfo:
             integrate_reference(reduced, 0.1, 1.0)
-        assert str(excinfo.value) == "equation 1 at t = 0: division by zero in 1 / t at t=0"
+        assert str(excinfo.value) == "equation 1: division by zero in 1 / t at t = 0"
 
     def test_partial_final_step_lands_on_horizon(self):
         trajectory = integrate_reference(plain_reduced("u1"), 0.3, 1.0)
@@ -252,13 +255,32 @@ def test_compare_equals_the_per_sample_reference(fixtures_dir):
 def test_history_leaves_are_evaluated_once_per_stage_time(fixtures_dir, monkeypatch):
     # example2 has two history leaves; RK4 at h = 2e-3 on [0, 1] evaluates
     # its right-hand side at 1,005 distinct (time, step) pairs: two per step,
-    # and seven in the first step, which it iterates three times
+    # and seven in the first step, which it iterates three times.  One
+    # generated function evaluates both leaves, once per pair
     reduced = substitute_history(load_problem(fixtures_dir / "example2.fde"), trunc_order=20)
-    calls = []
-    evaluate = Series.evaluate
-    monkeypatch.setattr(Series, "evaluate", lambda self, t: calls.append(t) or evaluate(self, t))
+    calls, built = [], []
+    build = oracle._leaf_evaluator
+
+    def counted(leaves, size):
+        built.append(len(leaves))
+        evaluate = build(leaves, size)
+        return lambda t: calls.append(t) or evaluate(t)
+
+    monkeypatch.setattr(oracle, "_leaf_evaluator", counted)
     integrate_reference(reduced, 2e-3, 1.0)
-    assert len(calls) == 2010
+    assert (built, len(calls)) == ([2], 1005)
+
+
+def test_generated_leaf_evaluator_matches_series_evaluate():
+    # one function for all series of up to three special coefficients, at
+    # every special time, bit for bit
+    series = [
+        Series(coeffs) for length in (1, 2, 3)
+        for coeffs in itertools.product(SPECIAL_COEFFS, repeat=length)
+    ]
+    evaluate = oracle._leaf_evaluator(list(enumerate(series)), len(series))
+    for t in SPECIAL_TIMES:
+        assert [repr(s.evaluate(t)) for s in series] == list(map(repr, evaluate(t)))
 
 
 def test_history_leaf_node_shared_by_two_references():
@@ -376,16 +398,23 @@ class TestPinnedOutput:
             (
                 "ln(1 - t) * u1",
                 1e-2,
-                "equation 1 at t = 1: ln of nonpositive value 0 in ln(1 - t) at t=1",
+                "equation 1: ln of nonpositive value 0 in ln(1 - t) at t = 1",
             ),
             (
                 "u1 / (t - 1/2)",
                 0.125,
-                "equation 1 at t = 0.5: division by zero in u1 / (t - 0.5) at t=0.5",
+                "equation 1: division by zero in u1 / (t - 0.5) at t = 0.5",
             ),
+            (
+                "(t - 1/2)^(-2) * u1",
+                0.125,
+                "equation 1: 0.0 cannot be raised to a negative power in (t - 0.5)^-2 at t = 0.5",
+            ),
+            ("u1^2 * 1e300", 1e-2, "equation 1: u1^2 overflows at t = 0.005"),
         ],
     )
     def test_domain_error_message_is_unchanged(self, rhs, step, message):
+        # one line: the failed operation as pretty() prints it, and the time once
         with pytest.raises(OracleError) as excinfo:
             integrate_reference(plain_reduced(rhs), step, 1.0)
         assert (type(excinfo.value), str(excinfo.value)) == (OracleError, message)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from functools import reduce
@@ -169,6 +170,19 @@ class TestDifferentiate:
             assert a == pytest.approx(q**m * b, rel=1e-13)
 
 
+SPECIAL_COEFFS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, -2.5)
+SPECIAL_TIMES = (0.0, -0.0, 0.5, -1.0, -3.5, 1e308, math.inf, -math.inf, math.nan, 5e-324, -5e-324)
+
+
+def full_horner(coeffs, t):
+    """Horner's rule over every coefficient, the reference for
+    ``Series.evaluate``, which starts at the highest nonzero one."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
 class TestEvaluate:
     def test_at_zero_returns_constant_term(self):
         assert Series((1.0, 1.0, 0.5, 1 / 6)).evaluate(0.0) == 1.0
@@ -178,6 +192,25 @@ class TestEvaluate:
 
     def test_monomial(self):
         assert monomial(2, 4).evaluate(3.0) == 9.0
+
+    def test_trimmed_horner_equals_the_full_loop_on_every_small_series(self):
+        # every series of up to three special coefficients (all-zero ones and
+        # tops of +0.0 and -0.0 among them) at every special time
+        for length in (1, 2, 3):
+            for coeffs in itertools.product(SPECIAL_COEFFS, repeat=length):
+                for t in SPECIAL_TIMES:
+                    got, expected = Series(coeffs).evaluate(t), full_horner(coeffs, t)
+                    assert (coeffs, t, repr(got)) == (coeffs, t, repr(expected))
+
+    @given(
+        st.lists(st.sampled_from(SPECIAL_COEFFS) | st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=1, max_size=8),
+        st.lists(st.sampled_from((0.0, -0.0)), max_size=4),
+        st.sampled_from(SPECIAL_TIMES) | st.floats(),
+    )
+    def test_trimmed_horner_equals_the_full_loop(self, head, zeros, t):
+        coeffs = tuple(head + zeros)
+        assert repr(Series(coeffs).evaluate(t)) == repr(full_horner(coeffs, t))
 
 
 # independent oracles ---------------------------------------------------------
