@@ -672,8 +672,7 @@ def _fail(reason: str, node: Expr, index: int, t: float, x=None):
 
 
 def _refuse(kind: str, node: Expr):
-    """Raise the refusal of a ``kind`` leaf, ``node``, met with no ``leaf``
-    function to place its value."""
+    """Raise the refusal of a leaf that no ``leaf`` function places."""
     raise EvaluationError(f"{kind} {pretty(node)} not allowed in this context")
 
 

@@ -6,12 +6,12 @@ per variable, the value and derivatives up to order n-1.  Proportional
 lookups u^(d)(q*t) with d <= n-1 are served from the dense trajectory
 already computed (they always point backwards since q < 1), so the
 integrator needs no knowledge of the recurrence solver it validates.
-Each right-hand-side evaluation at a new stage time computes them once
-per (ratio, component) and evaluates each history leaf once; stages at
-the same time share both.  The right-hand sides and the derivative shifts
-of the first-order form run as one function that ``expr.compile_numeric``
-generates per system, one call per evaluation, which reads those values
-from a slot array.
+Each RK4 step computes them, once per (ratio, component), and the history
+leaves, by one generated function, at t0 + h/2 for k2 and k3 and at
+t0 + h for k4 and the end-of-step slope.  The right-hand sides and the
+derivative shifts of the first-order form run as one function that
+``expr.compile_numeric`` generates per system, one call per stage, which
+reads those values from a slot array.
 Top-order references under a proportional delay are outside this
 integrator's scope and are rejected up front.
 """
@@ -31,15 +31,17 @@ from .series import Record, Series
 # The most RK4 steps one reference integration may take, refused before it
 # starts: a hundred times the steps of ``taydel compare``'s default
 # ``--h 1e-3`` on [0, 1].  At this budget the scalar u' = u(t/2) - u took
-# 2.2 s and 23 MiB of resident memory, and fixtures/example1.fde (three
-# variables) 4.9 s and 38 MiB, on one core of an x86-64 Xeon, CPython 3.11.
+# 0.7-1.2 s and 23 MiB of resident memory, and fixtures/example1.fde (three
+# variables) 1.2-1.7 s and 38 MiB, on one core of an x86-64 Xeon, CPython
+# 3.11 (three runs each on a shared host).
 MAX_REFERENCE_STEPS = 100_000
 
 # The most grid points one comparison may sample: fifty times ``taydel
 # compare``'s default ``--samples 200``.  fixtures/example1.fde compared
-# 10,000 samples in 0.03 s at N = 10 and 0.42-0.46 s at N = 500 (100,000:
-# 0.30 s and 4.2-4.9 s; Horner on the three series is most of it at N =
-# 500), on one core of an x86-64 Xeon, CPython 3.11.
+# 10,000 samples in 0.03-0.05 s at N = 10 and 0.17-0.29 s at N = 500
+# (100,000: 0.31-0.42 s and 1.9-2.2 s; at N = 500 most of it is Horner over
+# the three series, which stop at their last nonzero coefficient, 178, 157
+# and 225 of 501), on one core of an x86-64 Xeon, CPython 3.11.
 MAX_COMPARE_SAMPLES = 10_000
 
 
@@ -79,11 +81,9 @@ def _hermite_weights(t0, h, t):
 
 
 def _leaf_evaluator(leaves: list[tuple[int, Series]], size: int) -> Callable[[float], list[float]]:
-    """One generated function of t that returns a list of ``size`` floats,
-    each history leaf's value at t in its slot and 0.0 in the others.  A
-    leaf's Horner steps are written out as statements, over the same terms
-    as ``Series.evaluate``; nested parentheses would pass CPython's nesting
-    limit at N = 500."""
+    """One generated function of t: ``size`` floats, each history leaf's value
+    in its slot and 0.0 elsewhere, by ``Series.evaluate``'s Horner steps as
+    statements (nested parentheses pass CPython's limit at N = 500)."""
     body = [f"v = [0.0] * {size:d}"]
     for slot, series in leaves:
         top, *rest = series.horner_terms
@@ -192,10 +192,8 @@ def integrate_reference(
     leaf_values = _leaf_evaluator(leaves, len(slots))
 
     def lookups(t: float) -> tuple[list[float], int]:
-        """The values the generated function reads from dv at t, and how
-        many references read an extrapolated one.  A lookup at q*t,
-        0 < q < 1, never passes the end of the step in progress, whose
-        Hermite data serve it past the last node."""
+        # dv at t, and how many references read an extrapolated value: q*t,
+        # 0 < q < 1, is past the last node only within the step in progress
         values = leaf_values(t)
         count = 0
         front = times[-1]
@@ -218,10 +216,8 @@ def integrate_reference(
         return values, count
 
     def rk4_step(t0: float, y0: tuple[float, ...], h: float, k1):
-        """The state at t0 + h and the slope there.  The lookups depend on
-        the time and the step in progress only: k2 and k3 share those at
-        t0 + h/2, k4 and the slope those at t0 + h, and each use counts
-        its extrapolations."""
+        # the state at t0 + h and its slope; lookups depend on the time and the
+        # step in progress only, and each use counts their extrapolations
         nonlocal extrapolations
         half, sixth = h / 2, h / 6
         mid, count = lookups(t0 + half)

@@ -146,11 +146,10 @@ class Series(Record):
 
     @cached_property
     def horner_terms(self) -> tuple[float, ...]:
-        """The coefficients Horner's rule from 0.0 visits, highest first:
-        from the highest nonzero one, c, or all when none is nonzero.  The
-        steps above c yield a signed zero, or NaN where t is infinite or
-        NaN; times t plus c, that gives c or the same NaN, as the first
-        step ``0.0 * t + c`` does, so the value keeps every bit."""
+        """The coefficients Horner's rule visits, highest first: from the
+        highest nonzero one, c, or all if none is.  Above c the rule from 0.0
+        yields a signed zero, or NaN at an infinite or NaN t, which times t
+        plus c gives the bits ``0.0 * t + c`` gives."""
         terms = self.coeffs[::-1]
         return terms[next((k for k, c in enumerate(terms) if c), 0):]
 
