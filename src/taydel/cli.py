@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import engine
 from . import expr as ex
-from .problem import ProblemError, check_compatibility, check_h2, compute_validity, require_h2
+from .problem import ProblemError, check_compatibility, check_h2, compute_validity
 from .problemfile import load_problem
 from .reduce import ReducedSystem, substitute_history
 from .series import SeriesError
@@ -176,10 +176,9 @@ def _floats(text: str, flag: str) -> list[float]:
 
 
 def _reduce(args, path) -> ReducedSystem:
-    """The pipeline every solving command shares: load, the H2 and
-    compatibility checks, then history substitution."""
+    """The pipeline every solving command shares: load, the compatibility
+    check, then history substitution, whose ``ReducedSystem`` refuses H2."""
     problem = load_problem(path)
-    require_h2(problem)
     compat = check_compatibility(problem)
     if not compat.ok:
         worst = max(

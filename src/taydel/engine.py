@@ -14,7 +14,9 @@ itself, scaled by a pivot factor.  When the occurrence is linear with a
 state-free coefficient the pivot is extracted and divided out; anything
 else is rejected.  A vanishing pivot either contradicts the remaining
 terms (no compatible analytic solution) or leaves the coefficient
-undetermined, and both cases are reported as distinct errors.
+undetermined, and both cases are reported as distinct errors.  A top-order
+reference to another equation's variable (H2) never reaches the march:
+``ReducedSystem`` refuses it when built.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from . import expr as ex
-from .problem import CauchyProblem, ValidityInterval, require_h2
+from .problem import CauchyProblem, ValidityInterval
 from .reduce import ReducedSystem, substitute_history
 from .series import Record, Series, SeriesError, monomial, non_finite_coefficient, plain_sum
 
@@ -198,16 +200,9 @@ def _plan_equation(reduced: ReducedSystem, var: int) -> tuple[list, list]:
                 var,
                 f"top-order delayed reference {shape}: {ex.pretty(term, reduced.var_names)}",
             )
-        ref = refs[0]
-        if ref.var != var:
-            raise NonlinearNeutral(
-                var,
-                f"top-order reference to another variable ({ex.pretty(ref, reduced.var_names)}) "
-                "under a proportional delay",
-            )
         # rebuild the state-free coefficient as a plain product/quotient
         coefficient = reduce(ex.Div, denominators, reduce(ex.Mul, rest, ex.Const(1.0)))
-        linear.append((fsign, coefficient, reduced.delay_map()[ref.delay].law.ratio))
+        linear.append((fsign, coefficient, reduced.delay_map()[refs[0].delay].law.ratio))
     return plain, linear
 
 
@@ -309,10 +304,7 @@ def solve(problem: CauchyProblem, *, trunc_order: int | None = None) -> TaylorSo
     On a marching failure the raised error carries the coefficients
     computed so far.
     """
-    require_h2(problem)
-    target = trunc_order if trunc_order is not None else problem.trunc_order
-    reduced = substitute_history(problem, trunc_order=target)
-    return solve_reduced(reduced)
+    return solve_reduced(substitute_history(problem, trunc_order=trunc_order))
 
 
 def solve_reduced(reduced: ReducedSystem) -> TaylorSolution:

@@ -399,7 +399,7 @@ def _precedence(node: Expr) -> int:
 def _fmt_number(value: float) -> str:
     if value == int(value) and abs(value) < 1e16:
         return str(int(value))
-    return f"{value:.17g}"
+    return repr(value)
 
 
 def pretty(node: Expr, variables: Sequence[str] | None = None) -> str:
@@ -443,7 +443,7 @@ def pretty(node: Expr, variables: Sequence[str] | None = None) -> str:
             if exponent == int(exponent):
                 suffix = f"^{int(exponent)}"
             else:
-                suffix = f"^({exponent:.17g})"
+                suffix = f"^({exponent!r})"
             return f"{wrap(n.base, 5)}{suffix}"
         if isinstance(n, Func):
             return f"{n.fn}({render(n.arg)})"

@@ -14,7 +14,7 @@ import math
 from typing import Union
 
 from . import expr as ex
-from .series import Record, monomial
+from .series import Record
 
 SCAN_POINTS = 1000
 BISECTION_ITERATIONS = 80
@@ -341,16 +341,3 @@ def check_h2(problem: CauchyProblem) -> H2Report:
                 H2Violation(equation=eq_index, variable=ref.var, delay=ref.delay)
             )
     return H2Report(violations=tuple(violations))
-
-
-def require_h2(problem: CauchyProblem) -> None:
-    """Refuse the first H2 violation ``check_h2`` reports, naming the
-    variables."""
-    h2 = check_h2(problem)
-    if not h2.ok:
-        v = h2.violations[0]
-        raise ProblemError(
-            f"equation {problem.var_names[v.equation - 1]} references the top "
-            f"derivative of {problem.var_names[v.variable - 1]} through "
-            f"proportional delay {v.delay!r}"
-        )

@@ -50,7 +50,9 @@ class ReducedSystem(Record):
     time-dependent delayed terms are known-series leaves built to order
     ``trunc_order + order`` at least, leaving headroom for derivative
     shifts during coefficient marching.  Construction checks every state
-    reference once (``expr.analyze``); the march and the oracle rely on it."""
+    reference once (``expr.analyze``) and refuses a top-order reference to
+    another equation's variable (H2) with ``ProblemError``; the march and
+    the oracle rely on both."""
 
     order: int
     var_names: tuple[str, ...]
@@ -67,12 +69,19 @@ class ReducedSystem(Record):
                     f"delay {spec.id!r} is not proportional; a reduced system "
                     "keeps only proportional delays"
                 )
-        ex.analyze(
+        structure = ex.analyze(
             self.equations,
             order=self.order,
             num_vars=self.num_vars,
             delays={spec.id: True for spec in self.delays},
         )
+        for equation, ref in structure.neutral_proportional_refs:
+            if ref.var != equation:
+                raise ProblemError(
+                    f"equation {self.var_names[equation - 1]} references the top "
+                    f"derivative of {self.var_names[ref.var - 1]} through "
+                    f"proportional delay {ref.delay!r}"
+                )
 
     @property
     def num_vars(self) -> int:

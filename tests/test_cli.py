@@ -349,6 +349,15 @@ class TestCompare:
         code, out, err = run("compare", str(path), "--order", "20")
         assert (code, out, err) == (2, "", "error: equation 1: u^2 overflows at t = 0.0985\n")
 
+    def test_error_text_prints_constants_as_the_file_writes_them(self, run, tmp_path):
+        # the shortest text that reads back to the same double: 0.1, not
+        # 0.10000000000000001
+        path = tmp_path / "pole.fde"
+        path.write_text(SCALAR.replace("u@half - u", "u@half / (t - 0.1)"))
+        code, out, err = run("compare", str(path), "--h", "0.05")
+        assert (code, out) == (2, "")
+        assert err == "error: equation 1: division by zero in u@half / (t - 0.1) at t = 0.1\n"
+
 
 class TestExitContract:
     def test_missing_file(self, run):
@@ -467,6 +476,76 @@ class TestExitContract:
                 "solve",
                 "parentheses nest deeper than 100 levels (line 4, column 109)",
                 id="deep_parentheses",
+            ),
+            pytest.param(
+                "eq u' = u@half - u",
+                "eq u' = u@half - u\neq w' = u",
+                1,
+                "solve",
+                "equation for unknown variable 'w' (line 5, column 0)",
+                id="equation_for_unknown_variable",
+            ),
+            pytest.param(
+                "init u = [1]",
+                "init u = [1]\ninit w = [1]",
+                1,
+                "solve",
+                "initial data for unknown variable 'w' (line 6, column 0)",
+                id="init_for_unknown_variable",
+            ),
+            pytest.param(
+                "init u = [1]",
+                "init u = [1]\ninit u = [2]",
+                1,
+                "solve",
+                "duplicate initial data for 'u' (line 6, column 0)",
+                id="duplicate_init",
+            ),
+            pytest.param(
+                "horizon = 1",
+                "phi w = 1\nhorizon = 1",
+                1,
+                "solve",
+                "history for unknown variable 'w' (line 6, column 0)",
+                id="history_for_unknown_variable",
+            ),
+            pytest.param(
+                "delay half = proportional(1/2)",
+                "delay half = constant(1)\nphi u = 1\nphi u = 2",
+                1,
+                "solve",
+                "duplicate history for 'u' (line 5, column 0)",
+                id="duplicate_history",
+            ),
+            pytest.param(
+                "init u = [1]", "", 2, "solve", "bad.fde: missing initial data for u",
+                id="missing_init",
+            ),
+            pytest.param(
+                "proportional(1/2)",
+                "proportional(1/x)",
+                1,
+                "solve",
+                "bad rational literal '1/x' (line 3, column 0)",
+                id="bad_rational_literal",
+            ),
+            pytest.param(
+                "vars = u", "vars = u, u", 1, "solve",
+                "duplicate variable names (line 1, column 0)",
+                id="duplicate_variable_names",
+            ),
+            pytest.param(
+                "delay half", "delay 2half", 1, "solve",
+                "bad delay name '2half' (line 3, column 0)",
+                id="bad_delay_name",
+            ),
+            pytest.param(
+                "delay half = proportional(1/2)",
+                "delay half = vary(-1 + t)\nphi u = 1",
+                2,
+                "solve",
+                "delay 'half': lag is negative at t = 0",
+                id="negative_lag_at_start",
             ),
         ],
     )

@@ -255,15 +255,13 @@ def unit_reduced(equations, init, var_names=("u",)):
 
 class TestSolveReduced:
     def test_top_order_reference_to_another_variable_is_refused(self):
-        # check_h2 refuses this in a problem file; solve_reduced refuses it itself
-        reduced = unit_reduced(
-            (StateRef(2, 1, "half"), StateRef(1, 0)), ((1.0,), (0.0,)), ("u", "v")
-        )
-        with pytest.raises(NonlinearNeutral) as excinfo:
-            solve_reduced(reduced)
+        # a hand-built system is refused when built, with the CLI's H2 text
+        with pytest.raises(ProblemError) as excinfo:
+            unit_reduced(
+                (StateRef(2, 1, "half"), StateRef(1, 0)), ((1.0,), (0.0,)), ("u", "v")
+            )
         assert str(excinfo.value) == (
-            "equation 1: top-order reference to another variable (v'@half) "
-            "under a proportional delay"
+            "equation u references the top derivative of v through proportional delay 'half'"
         )
 
     def test_non_finite_initial_data_is_refused(self):

@@ -11,7 +11,8 @@ Every coefficient sum adds its terms in order with plain float additions
 (``series.plain_sum``; ``sum()`` of floats is compensated from CPython
 3.12), so the digests hold on CPython 3.10 through 3.13.  The tables are
 also compared in full with those printed by every other ``python3.10`` to
-``python3.13`` on PATH that starts.
+``python3.13`` on PATH that starts, and each such interpreter must print
+the same ``scripts/differential.py`` hash.
 """
 
 import hashlib
@@ -30,6 +31,7 @@ import pytest
 
 from taydel.engine import EvalFailure, ZeroPivotInconsistent, solve
 from taydel.problemfile import load_problem, parse_problem
+from test_differential import DIFFERENTIAL_DIGEST, SCRIPT
 from test_engine import random_system
 
 FIXTURE_DIGESTS = {
@@ -90,6 +92,12 @@ def test_other_interpreters_print_the_same_tables(fixtures_dir):
         tables = json.loads(child.stdout)
         differ = [Path(path).stem for path in paths if tables[path] != expected[path]]
         assert (exe, differ) == (exe, [])
+        # every case of the differential; its --cases flag finds the one that moved
+        child = subprocess.run(
+            [exe, str(SCRIPT)], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert (exe, child.returncode, child.stderr) == (exe, 0, "")
+        assert (exe, child.stdout) == (exe, DIFFERENTIAL_DIGEST + "\n")
         ran.append(exe)
     if not ran:
         pytest.skip("no other CPython 3.10-3.13 on PATH starts")
