@@ -2,8 +2,10 @@
 for a fixed set of problems, so that two versions of taydel can be checked
 for bit-identical output.
 
-The problems are the fixtures plus seeds 1-30 of the benchmark's march,
-history and validate families.  Each is solved at N = 20 and 40 (the
+The problems are the fixtures, seeds 1-30 of the benchmark's march,
+history and validate families, and a few histories that history
+substitution must refuse, alone and in sums, so that which failure is
+reported first is pinned too.  Each is solved at N = 20 and 40 (the
 coefficient tables, tails, pivot trail and truncation bounds), and at
 N = 10 integrated by the RK4 reference at h = 2e-3 and compared with the
 reference on 200 samples (the trajectory, its extrapolation count and the
@@ -35,6 +37,20 @@ SEEDS = range(1, 31)
 TABLE_ORDERS = (20, 40)
 REFERENCE_ORDER, REFERENCE_STEP, REFERENCE_SAMPLES = 10, 2e-3, 200
 
+# Behind a constant lag of 1 the history is expanded about t = -1: there
+# the reciprocal's coefficient 34 overflows, and ln fails at index 0.  A
+# sum of the two reports the ln failure in either order.
+REFUSED = (
+    "order = 1\nvars = u\ndelay c = constant(1)\neq u' = u@c\nphi u = {}\n"
+    "init u = [1]\nhorizon = 1\ntaylor_order = 20\n"
+)
+REFUSED_HISTORIES = (
+    ("overflow", "1/(t + 1.000000001)"),
+    ("ln", "ln(t + 1/2)"),
+    ("overflow+ln", "1/(t + 1.000000001) + ln(t + 1/2)"),
+    ("ln+overflow", "ln(t + 1/2) + 1/(t + 1.000000001)"),
+)
+
 
 def problems() -> list[tuple[str, object]]:
     """(name, parsed problem) for every problem, in a fixed order."""
@@ -42,6 +58,8 @@ def problems() -> list[tuple[str, object]]:
     for family in (families.march_family, families.history_family, families.validate_family):
         for seed in SEEDS:
             out += [(f"{p.name}/{seed}", parse_problem(p.text)) for p in family(seed)]
+    for name, phi in REFUSED_HISTORIES:
+        out.append((f"refused/{name}", parse_problem(REFUSED.format(phi))))
     return out
 
 
