@@ -302,10 +302,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    solution = engine.solve_reduced(_reduce(args, args.file))
-    points = _floats(args.at, "--at")
+    points = _floats(args.at, "--at")  # before any solving, as compare checks its flags
     if not points:
         raise UsageError("--at needs at least one time value")
+    solution = engine.solve_reduced(_reduce(args, args.file))
     lines = ["t," + ",".join(solution.var_names)]
     for t in points:
         values = engine.evaluate_solution(solution, t, unchecked=args.unchecked)

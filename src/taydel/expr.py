@@ -614,16 +614,26 @@ class SeriesTape(Tape):
             return self.emit(self._leaf(node))
         if isinstance(node, Add):
             a, b = self.lower(node.left), self.lower(node.right)
-            return self.emit(lambda k: a[k] + b[k], None, self.hull(a, b))
+            return self.emit(
+                lambda k: a[k] + b[k], None, self.hull(a, b),
+                whole=lambda n: list(map(operator.add, a[:n], b[:n])),
+            )
         if isinstance(node, Sub):
             a, b = self.lower(node.left), self.lower(node.right)
-            return self.emit(lambda k: a[k] - b[k], None, self.hull(a, b))
+            return self.emit(
+                lambda k: a[k] - b[k], None, self.hull(a, b),
+                whole=lambda n: list(map(operator.sub, a[:n], b[:n])),
+            )
         if isinstance(node, Neg):
             a = self.lower(node.operand)
-            return self.emit(lambda k: -a[k], None, self.support(a))
+            return self.emit(
+                lambda k: -a[k], None, self.support(a),
+                whole=lambda n: list(map(operator.neg, a[:n])),
+            )
         if isinstance(node, Mul):
             return self.product(self.lower(node.left), self.lower(node.right))
-        self._context.append(partial(pretty, node))
+        outer = self._context
+        self._context = (partial(pretty, node),) + outer
         if isinstance(node, Div):
             numerator = self.lower(node.left)
             out = self.product(numerator, self.elementary("reciprocal", self.lower(node.right)))
@@ -633,7 +643,7 @@ class SeriesTape(Tape):
             out = self.elementary(node.fn, self.lower(node.arg))
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        self._context.pop()
+        self._context = outer
         return out
 
 

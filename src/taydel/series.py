@@ -208,14 +208,12 @@ def product_term(a, b, lo_a: int, hi_a: int, lo_b: int, hi_b: int, k: int) -> fl
 # the result's known coefficients w[0..k-1]; index 0 applies f itself and
 # checks its domain.  Sums add their terms in increasing j from 0.0, so a
 # coefficient does not depend on how many more are computed, and run only
-# over the j where c can be nonzero.
+# over the j where c can be nonzero.  One or two terms, the common case
+# for an argument of support [0, 1] such as a history leaf's a0 + s, are
+# added directly; more go through ``_weighted_sum``.
 
 def _weighted_sum(weights, a, b, lo: int, hi: int, k: int) -> float:
     """sum over j = lo..hi of weights[j-lo] * a[j] * b[k-j]; 0.0 when lo > hi."""
-    if lo == hi:
-        return 0.0 + weights[0] * a[lo] * b[k - lo]
-    if lo + 1 == hi:
-        return 0.0 + weights[0] * a[lo] * b[k - lo] + weights[1] * a[hi] * b[k - hi]
     down = b[k - lo : k - hi - 1 : -1] if hi < k else b[k - lo :: -1]
     return plain_sum(map(mul, map(mul, weights, a[lo : hi + 1]), down), 0.0)
 
@@ -234,6 +232,10 @@ def exp_term(c, lo: int, hi: int, w, k: int) -> float:
     if k == 0:
         return _overflow_guard(math.exp, c[0], "exp")
     lo, hi = lo if lo > 1 else 1, hi if hi < k else k
+    if lo == hi:
+        return (0.0 + lo * c[lo] * w[k - lo]) / k
+    if lo + 1 == hi:
+        return (0.0 + lo * c[lo] * w[k - lo] + hi * c[hi] * w[k - hi]) / k
     return _weighted_sum(range(lo, hi + 1), c, w, lo, hi, k) / k
 
 
@@ -246,7 +248,13 @@ def ln_term(c, lo: int, hi: int, w, k: int) -> float:
             )
         return math.log(c[0])
     lo, hi = k - hi if k - hi > 1 else 1, k - lo if lo > 1 else k - 1
-    return (c[k] - _weighted_sum(range(lo, hi + 1), w, c, lo, hi, k) / k) / c[0]
+    if lo == hi:
+        total = 0.0 + lo * w[lo] * c[k - lo]
+    elif lo + 1 == hi:
+        total = 0.0 + lo * w[lo] * c[k - lo] + hi * w[hi] * c[k - hi]
+    else:
+        total = _weighted_sum(range(lo, hi + 1), w, c, lo, hi, k)
+    return (c[k] - total / k) / c[0]
 
 
 def reciprocal_term(c, lo: int, hi: int, w, k: int) -> float:
@@ -269,8 +277,13 @@ def pow_term(c, lo: int, hi: int, w, rho: float, k: int) -> float:
                 f"pow({rho:g}) requires a positive constant term, got {c[0]!r}"
             )
         return _overflow_guard(lambda base: base**rho, c[0], f"pow({rho:g})")
-    lo, hi = lo if lo > 1 else 1, hi if hi < k else k
-    weights = [(rho + 1.0) * j - k for j in range(lo, hi + 1)]
+    lo, hi, r = lo if lo > 1 else 1, hi if hi < k else k, rho + 1.0
+    if lo == hi:
+        return (0.0 + (r * lo - k) * c[lo] * w[k - lo]) / (k * c[0])
+    if lo + 1 == hi:
+        total = 0.0 + (r * lo - k) * c[lo] * w[k - lo] + (r * hi - k) * c[hi] * w[k - hi]
+        return total / (k * c[0])
+    weights = [r * j - k for j in range(lo, hi + 1)]
     return _weighted_sum(weights, c, w, lo, hi, k) / (k * c[0])
 
 
@@ -280,6 +293,15 @@ def sincos_term(c, lo: int, hi: int, s, co, k: int) -> tuple[float, float]:
     if k == 0:
         return math.sin(c[0]), math.cos(c[0])
     lo, hi = lo if lo > 1 else 1, hi if hi < k else k
+    if lo == hi:
+        x = lo * c[lo]
+        return (0.0 + x * co[k - lo]) / k, -(0.0 + x * s[k - lo]) / k
+    if lo + 1 == hi:
+        x, y = lo * c[lo], hi * c[hi]
+        return (
+            (0.0 + x * co[k - lo] + y * co[k - hi]) / k,
+            -(0.0 + x * s[k - lo] + y * s[k - hi]) / k,
+        )
     j = range(lo, hi + 1)
     return _weighted_sum(j, c, co, lo, hi, k) / k, -_weighted_sum(j, c, s, lo, hi, k) / k
 
@@ -287,14 +309,33 @@ def sincos_term(c, lo: int, hi: int, s, co, k: int) -> tuple[float, float]:
 _ELEMENTARY_TERMS = {"exp": exp_term, "ln": ln_term, "reciprocal": reciprocal_term}
 
 
+def _in_context(exc: SeriesError, where) -> SeriesError:
+    """A domain error with the enclosing labels ``where`` appended, innermost
+    first; any other error as it is."""
+    if isinstance(exc, SeriesDomainError):
+        return SeriesDomainError(str(exc) + "".join(f" in {label()}" for label in where))
+    return exc
+
+
 class Tape:
     """A straight-line program over per-node coefficient lists, the one
-    driver of the rules above.  ``fill(k)`` appends coefficient k to every
-    node, in the order the nodes were emitted, from what its inputs already
-    hold: a Cauchy product, one step of a per-index recurrence, or any step
-    ``k -> float``.  Constants and known series are fixed sequences that
-    take no step.  ``rounds`` is the number of coefficients a node holds
-    once ``run`` returns.
+    driver of the rules above.  Each node computes its coefficients from
+    what its inputs already hold: a Cauchy product, one step of a per-index
+    recurrence, or any step ``k -> float``.  Constants and known series are
+    fixed sequences that take no step.  ``rounds`` is the number of
+    coefficients a node holds once ``run`` returns.
+
+    A tape runs one of two ways.  ``fill(k)`` appends coefficient k to every
+    node, in the order the nodes were emitted; the march calls it once per
+    round, because its state references read table entries that the round
+    before computed.  ``run`` serves every tape that reads no such state
+    (history leaves, delay arguments, the compatibility check, residuals,
+    ``compose_elementary``): it computes all rounds of one node before the
+    next node starts, since a node reads only nodes emitted before it.  It
+    adds sums, differences, negations and products by a fixed constant in
+    one pass over their operands, and loops over the step of every other
+    node.  Both give the same coefficients and raise the same first
+    failure: the smallest round's, and within it the first node's.
 
     Every sequence has a support [lo, hi] within 0..rounds-1, outside which
     its coefficients are exactly zero: [0, 0] for a constant, the nonzero
@@ -308,16 +349,18 @@ class Tape:
     coefficients equal those of the full sums bit for bit.
     """
 
-    __slots__ = ("rounds", "_ops", "_context", "_supports")
+    __slots__ = ("rounds", "_ops", "_nodes", "_context", "_supports")
 
     def __init__(self, rounds: int):
         self.rounds = rounds
         # (coefficients.append, step, enclosing labels, first and last round
         # in which the step runs)
         self._ops: list = []
+        # the same per node, led by the coefficients and whole (or None)
+        self._nodes: list = []
         # zero-argument callables naming the enclosing quotients, powers and
-        # functions: a domain error names each of them, innermost first
-        self._context: list = []
+        # functions, innermost first: a domain error names each of them
+        self._context: tuple = ()
         # id(sequence) -> (support, sequence); holding the sequence keeps its
         # id from being reused by another while the tape lives
         self._supports: dict[int, tuple] = {}
@@ -332,16 +375,41 @@ class Tape:
             try:
                 value = step(k)
             except SeriesDomainError as exc:
-                raise SeriesDomainError(
-                    str(exc) + "".join(f" in {label()}" for label in where)
-                ) from None
+                raise _in_context(exc, where) from None
             if not isfinite(value):
                 raise non_finite_coefficient(value, k)
             append(value)
 
     def run(self) -> None:
-        for k in range(self.rounds):
-            self.fill(k)
+        """Compute every coefficient of every node, node by node.  A node
+        that fails at round k runs no further, and every later node runs
+        rounds 0..k-1 only: a later failure wins only at an earlier round,
+        and the earliest is raised once all nodes have run."""
+        isfinite = math.isfinite
+        limit, failure = self.rounds, None
+        for out, whole, append, step, where, lo, hi in self._nodes:
+            if whole is not None:
+                values = whole(limit)
+                out += values
+                if not all(map(isfinite, values)):
+                    k = next(k for k, value in enumerate(values) if not isfinite(value))
+                    failure, limit = non_finite_coefficient(values[k], k), k
+                continue
+            if lo:  # a product below its support
+                out += [0.0] * (lo if lo < limit else limit)
+            try:
+                for k in range(lo, hi + 1 if hi < limit else limit):
+                    value = step(k)
+                    if not isfinite(value):
+                        raise non_finite_coefficient(value, k)
+                    append(value)
+            except SeriesError as exc:
+                failure, limit = _in_context(exc, where), k
+                continue
+            if hi + 1 < limit:  # above it
+                out += [0.0] * (limit - len(out))
+        if failure is not None:
+            raise failure
 
     def support(self, seq: Sequence[float]) -> tuple[int, int]:
         """The [lo, hi] outside which ``seq`` is exactly zero."""
@@ -359,14 +427,18 @@ class Tape:
 
     def emit(
         self, step, out: list | None = None, support: tuple[int, int] | None = None,
-        sparse: bool = False,
+        sparse: bool = False, whole=None,
     ) -> list:
         """Append a node computed by ``step``; with ``sparse`` the step runs
-        only inside ``support`` and the node holds 0.0 elsewhere."""
+        only inside ``support`` and the node holds 0.0 elsewhere.  ``whole(n)``,
+        if given, returns the node's first n coefficients at once, the values
+        ``step`` gives; ``run`` calls it in place of the steps."""
         out = [] if out is None else out
         support = support or (0, self.rounds - 1)
         lo, hi = support if sparse else (0, self.rounds)
-        self._ops.append((out.append, step, tuple(reversed(self._context)), lo, hi))
+        op = (out.append, step, self._context, lo, hi)
+        self._ops.append(op)
+        self._nodes.append((out, whole) + op)
         self._supports[id(out)] = (support, out)
         return out
 
@@ -380,12 +452,19 @@ class Tape:
     def product(self, a: Sequence[float], b: Sequence[float]) -> list:
         (lo_a, hi_a), (lo_b, hi_b) = self.support(a), self.support(b)
         lo, hi = lo_a + lo_b, min(hi_a + hi_b, self.rounds - 1)
-        return self.emit(
-            partial(product_term, a, b, lo_a, hi_a, lo_b, hi_b),
-            None,
-            (lo, hi) if lo <= hi else (self.rounds, -1),
-            True,
-        )
+        step = partial(product_term, a, b, lo_a, hi_a, lo_b, hi_b)
+        if hi_b == 0 and isinstance(b, tuple):
+            (a, hi_a), b = (b, hi_b), a  # c * x and x * c are the same double
+        whole = None
+        if hi_a == 0 and isinstance(a, tuple) and math.isfinite(a[0]):
+            # a is fixed data (c, 0, 0, ...): product_term is 0.0 + c * x[k]
+            # inside the support, and 0.0 outside it, as is 0.0 + c * 0.0
+            c, x = a[0], b
+
+            def whole(n):
+                return [0.0 + c * v for v in x[:n]]
+
+        return self.emit(step, None, (lo, hi) if lo <= hi else (self.rounds, -1), True, whole)
 
     def _recurrence(self, term, arg: Sequence[float], *extra) -> list:
         out: list[float] = []

@@ -604,6 +604,19 @@ class TestExitContract:
         code, out, err = run(argv[0], str(path), *argv[1:])
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--at", "abc"], "--at needs comma-separated numbers, got 'abc'"),
+            (["--at", ",", "--order", "500"], "--at needs at least one time value"),
+        ],
+    )
+    def test_eval_checks_at_before_solving(self, run, fixtures_dir, argv, message):
+        # example3 stops at a zero pivot (exit 3) once solved: --at is
+        # refused before that, and before a solve at the largest order
+        code, out, err = run("eval", str(fixtures_dir / "example3.fde"), *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_unwritable_out_gets_one_line(self, run, tmp_path, fixtures_dir):
         taken = tmp_path / "taken.txt"
         taken.write_text("")

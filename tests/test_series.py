@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taydel.engine import solve
+from taydel.expr import eval_series, parse_expression
 from taydel.problemfile import parse_problem
+from taydel.reduce import history_leaf
 from taydel.series import (
     Series,
     SeriesDomainError,
@@ -756,3 +758,124 @@ def test_neutral_fold_adds_plainly():
     coeffs = solve(problem).series[0].coeffs
     assert coeffs[1:4] == (1.0, 1.0, 2.0**56)
     assert repr(coeffs[4]) == "0.0"
+
+
+# Written-out recurrence sums.  exp_term, ln_term, pow_term and sincos_term
+# add one or two terms directly; each must equal the sliced sum, the form
+# _weighted_sum adds, bit for bit, on operands a tape never holds too.
+
+def sliced_sum(weights, a, b, lo, hi, k):
+    """sum over j = lo..hi of weights[j-lo] * a[j] * b[k-j], sliced and
+    added from 0.0."""
+    down = b[k - lo : k - hi - 1 : -1] if hi < k else b[k - lo :: -1]
+    return reduce(add, map(mul, map(mul, weights, a[lo : hi + 1]), down), 0.0)
+
+
+def sliced_step(tag, c, lo, hi, w, companion, k, rho):
+    """Coefficient k >= 1 of tag(c) by the sliced sum over the kernel's
+    range of j; for sin and cos, ``companion`` holds the cosine."""
+    if tag == "ln":
+        lo, hi = max(k - hi, 1), k - lo if lo > 1 else k - 1
+        return (c[k] - sliced_sum(range(lo, hi + 1), w, c, lo, hi, k) / k) / c[0]
+    lo, hi = max(lo, 1), min(hi, k)
+    j = range(lo, hi + 1)
+    if tag == "exp":
+        return sliced_sum(j, c, w, lo, hi, k) / k
+    if tag == "pow":
+        return sliced_sum([(rho + 1.0) * i - k for i in j], c, w, lo, hi, k) / (k * c[0])
+    return sliced_sum(j, c, companion, lo, hi, k) / k, -sliced_sum(j, c, w, lo, hi, k) / k
+
+
+WRITTEN_OUT = {
+    "exp": lambda c, lo, hi, w, co, k, rho: exp_term(c, lo, hi, w, k),
+    "ln": lambda c, lo, hi, w, co, k, rho: ln_term(c, lo, hi, w, k),
+    "pow": lambda c, lo, hi, w, co, k, rho: pow_term(c, lo, hi, w, rho, k),
+    "sincos": lambda c, lo, hi, w, co, k, rho: sincos_term(c, lo, hi, w, co, k),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(WRITTEN_OUT))
+def test_short_recurrence_terms_equal_the_sliced_sum(tag):
+    # (k, lo, hi): one term, two, one at hi = k, one at hi < k, two with
+    # weights that are no powers of 2; for ln, whose sum runs over
+    # j = 1..k-1, the same at k = 2 to 4
+    if tag == "ln":
+        cases = ((2, 1, 1), (3, 1, 2), (3, 0, 3), (3, 2, 2), (3, 1, 1), (4, 1, 2))
+    else:
+        cases = ((1, 1, 1), (2, 1, 2), (2, 2, 2), (2, 1, 1), (3, 2, 3))
+    operands = SHORT + NON_FINITE
+    for x1 in operands:
+        for x2 in operands:
+            for y in ((x2, x1), (-x1, x2), (1.0, -0.0), (-0.0, 5e-324)):
+                for c0 in (1.0, -3.0, 5e-324, -1e300, math.inf, math.nan):
+                    c = (c0, x1, x2, -x2, x1)
+                    w, co = (7.0,) + y + (-x1,), (-0.5,) + y[::-1] + (x2,)
+                    for rho in (0.5, -2.25, math.inf, math.nan) if tag == "pow" else (None,):
+                        for k, lo, hi in cases:
+                            got = WRITTEN_OUT[tag](c, lo, hi, w, co, k, rho)
+                            expected = sliced_step(tag, c, lo, hi, w, co, k, rho)
+                            assert repr(got) == repr(expected), (c, w, co, k, lo, hi, rho)
+
+
+# Node-by-node runs.  Tape.run computes every round of one node before the
+# next node starts, and must raise what fill, round by round, raises: the
+# failure of the smallest round, and within it that of the first node
+# emitted.  Along the argument (-1, 1, 0, ...) of a constant lag of 1,
+# 1/(t + 1.000000001) overflows at index 34 (a loop over its steps),
+# ln(t + 1/2) fails at index 0, and 1e308 * ((t + 1) * 10) (a product by a
+# constant) and a sum of two (t + 1) * 1e308 (a sum) overflow at index 1.
+
+ARGUMENT = Series((-1.0, 1.0) + (0.0,) * 44)
+LN_FAILURE = "SeriesDomainError: ln requires a positive constant term, got -0.5 in ln(t + 0.5)"
+INF_AT = "SeriesError: non-finite coefficient {} at index {}"
+FIRST_FAILURES = [
+    # a later node that fails at an earlier index wins
+    ("1/(t + 1.000000001) + ln(t + 1/2)", LN_FAILURE),
+    ("1/(t + 1.000000001) + 1e308 * ((t + 1) * 10)", INF_AT.format("inf", 1)),
+    ("1/(t + 1.000000001) + ((t + 1) * 1e308 + (t + 1) * 1e308)", INF_AT.format("inf", 1)),
+    ("1e308 * ((t + 1) * 10) + exp(ln(t + 1/2))", LN_FAILURE + " in exp(ln(t + 0.5))"),
+    # of two nodes that fail at the same index, the first emitted wins
+    ("ln(t + 1/2) + ln(t + 1/4)", LN_FAILURE),
+    (
+        "ln(t + 1/4) + ln(t + 1/2)",
+        "SeriesDomainError: ln requires a positive constant term, got -0.75 in ln(t + 0.25)",
+    ),
+    ("1/(t + 1.000000001) + 1/(-1.000000001 - t)", INF_AT.format("inf", 34)),
+    ("1/(-1.000000001 - t) + 1/(t + 1.000000001)", INF_AT.format("-inf", 34)),
+    # an earlier node that fails at an earlier index
+    ("ln(t + 1/2) + 1/(t + 1.000000001)", LN_FAILURE),
+]
+# every node kind, along the same argument
+FINITE_RUNS = [
+    "2 * exp(-t) / (t + 3) - -t * sin(t)^2 + cos(3 * t) * 5",
+    "(t + 2)^(1/3) - ln(t + 3) * (t + 2)^(-2) + 1e300 * t^7",
+    "sin(exp(t)) * ln(2 - t) / (t - 1/2)",
+]
+
+
+def round_by_round(tape):
+    for k in range(tape.rounds):
+        tape.fill(k)
+
+
+def leaf_outcomes(text: str) -> tuple[str, str]:
+    node = parse_expression(text)
+    return (
+        outcome(lambda: eval_series(node, ARGUMENT)),
+        outcome(lambda: history_leaf(node, 0, ARGUMENT, 44)),
+    )
+
+
+@pytest.mark.parametrize("text, expected", FIRST_FAILURES)
+def test_node_by_node_runs_raise_the_first_failure(monkeypatch, text, expected):
+    assert leaf_outcomes(text) == (expected, expected)
+    monkeypatch.setattr(Tape, "run", round_by_round)
+    assert leaf_outcomes(text) == (expected, expected)
+
+
+@pytest.mark.parametrize("text", FINITE_RUNS)
+def test_node_by_node_runs_equal_round_by_round_runs(monkeypatch, text):
+    node_by_node = leaf_outcomes(text)
+    assert "Error" not in "".join(node_by_node)
+    monkeypatch.setattr(Tape, "run", round_by_round)
+    assert leaf_outcomes(text) == node_by_node
