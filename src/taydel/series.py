@@ -356,7 +356,8 @@ class Tape:
         # (coefficients.append, step, enclosing labels, first and last round
         # in which the step runs)
         self._ops: list = []
-        # the same per node, led by the coefficients and whole (or None)
+        # the same led by the coefficients and whole (or None), for run; fill,
+        # which unpacks an entry per node and round, keeps the shorter tuples
         self._nodes: list = []
         # zero-argument callables naming the enclosing quotients, powers and
         # functions, innermost first: a domain error names each of them
@@ -453,7 +454,7 @@ class Tape:
         (lo_a, hi_a), (lo_b, hi_b) = self.support(a), self.support(b)
         lo, hi = lo_a + lo_b, min(hi_a + hi_b, self.rounds - 1)
         step = partial(product_term, a, b, lo_a, hi_a, lo_b, hi_b)
-        if hi_b == 0 and isinstance(b, tuple):
+        if hi_b == 0 and isinstance(b, tuple):  # b may be the fixed factor
             (a, hi_a), b = (b, hi_b), a  # c * x and x * c are the same double
         whole = None
         if hi_a == 0 and isinstance(a, tuple) and math.isfinite(a[0]):
