@@ -20,8 +20,9 @@ subexpressions of the arithmetic operators are folded at parse time.
 
 A tree is evaluated by lowering it once: into one generated straight-line
 float function per list of trees (``compile_numeric``), or onto the
-coefficient tape of ``series``, which extends each node's coefficients by
-one index per round (``SeriesTape``).
+coefficient tape of ``series`` (``SeriesTape``), which the march extends by
+one index of every node per round and every other caller runs node by
+node.
 """
 
 from __future__ import annotations
