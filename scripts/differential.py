@@ -5,7 +5,7 @@ for bit-identical output.
 The problems are the fixtures, seeds 1-30 of the benchmark's march,
 history and validate families, and a few histories that history
 substitution must refuse, alone and in sums, so that which failure is
-reported first is pinned too.  Each is solved at N = 20 and 40 (the
+reported first is pinned too, and one march that overflows.  Each is solved at N = 20 and 40 (the
 coefficient tables, tails, pivot trail and truncation bounds), and at
 N = 10 integrated by the RK4 reference at h = 2e-3 and compared with the
 reference on 200 samples (the trajectory, its extrapolation count and the
@@ -39,7 +39,9 @@ REFERENCE_ORDER, REFERENCE_STEP, REFERENCE_SAMPLES = 10, 2e-3, 200
 
 # Behind a constant lag of 1 the history is expanded about t = -1: there
 # the reciprocal's coefficient 34 overflows, and ln fails at index 0.  A
-# sum of the two reports the ln failure in either order.
+# sum of the two reports the ln failure in either order.  A product by a
+# constant overflows at index 0, in a history leaf with the constant on
+# the right and in the march with it on the left.
 REFUSED = (
     "order = 1\nvars = u\ndelay c = constant(1)\neq u' = u@c\nphi u = {}\n"
     "init u = [1]\nhorizon = 1\ntaylor_order = 20\n"
@@ -49,6 +51,11 @@ REFUSED_HISTORIES = (
     ("ln", "ln(t + 1/2)"),
     ("overflow+ln", "1/(t + 1.000000001) + ln(t + 1/2)"),
     ("ln+overflow", "ln(t + 1/2) + 1/(t + 1.000000001)"),
+    ("scaled", "(t + 1e10) * 1e300"),
+)
+REFUSED_MARCH = (
+    "order = 1\nvars = u\ndelay h = proportional(1/2)\neq u' = 1e300 * u@h - u\n"
+    "init u = [1e10]\nhorizon = 1\ntaylor_order = 20\n"
 )
 
 
@@ -60,6 +67,7 @@ def problems() -> list[tuple[str, object]]:
             out += [(f"{p.name}/{seed}", parse_problem(p.text)) for p in family(seed)]
     for name, phi in REFUSED_HISTORIES:
         out.append((f"refused/{name}", parse_problem(REFUSED.format(phi))))
+    out.append(("refused/march-scaled", parse_problem(REFUSED_MARCH)))
     return out
 
 
