@@ -615,22 +615,13 @@ class SeriesTape(Tape):
             return self.emit(self._leaf(node))
         if isinstance(node, Add):
             a, b = self.lower(node.left), self.lower(node.right)
-            return self.emit(
-                lambda k: a[k] + b[k], None, self.hull(a, b),
-                whole=lambda n: list(map(operator.add, a[:n], b[:n])),
-            )
+            return self.emit(lambda k: a[k] + b[k], None, self.hull(a, b))
         if isinstance(node, Sub):
             a, b = self.lower(node.left), self.lower(node.right)
-            return self.emit(
-                lambda k: a[k] - b[k], None, self.hull(a, b),
-                whole=lambda n: list(map(operator.sub, a[:n], b[:n])),
-            )
+            return self.emit(lambda k: a[k] - b[k], None, self.hull(a, b))
         if isinstance(node, Neg):
             a = self.lower(node.operand)
-            return self.emit(
-                lambda k: -a[k], None, self.support(a),
-                whole=lambda n: list(map(operator.neg, a[:n])),
-            )
+            return self.emit(lambda k: -a[k], None, self.support(a))
         if isinstance(node, Mul):
             return self.product(self.lower(node.left), self.lower(node.right))
         outer = self._context

@@ -331,11 +331,11 @@ class Tape:
     before computed.  ``run`` serves every tape that reads no such state
     (history leaves, delay arguments, the compatibility check, residuals,
     ``compose_elementary``): it computes all rounds of one node before the
-    next node starts, since a node reads only nodes emitted before it.  It
-    adds sums, differences, negations and products by a fixed constant in
-    one pass over their operands, and loops over the step of every other
-    node.  Both give the same coefficients and raise the same first
-    failure: the smallest round's, and within it the first node's.
+    next node starts, since a node reads only nodes emitted before it.
+    Both run one step per node and round, the same steps, so they give the
+    same coefficients and raise the same first failure: the smallest
+    round's, and within it the first node's.  A product by fixed data
+    ``(c, 0, 0, ...)`` steps by its one term ``0.0 + c * x[k]``.
 
     Every sequence has a support [lo, hi] within 0..rounds-1, outside which
     its coefficients are exactly zero: [0, 0] for a constant, the nonzero
@@ -349,16 +349,13 @@ class Tape:
     coefficients equal those of the full sums bit for bit.
     """
 
-    __slots__ = ("rounds", "_ops", "_nodes", "_context", "_supports")
+    __slots__ = ("rounds", "_ops", "_context", "_supports")
 
     def __init__(self, rounds: int):
         self.rounds = rounds
         # (coefficients.append, step, enclosing labels, first and last round
-        # in which the step runs)
+        # in which the step runs); run reaches the list as append.__self__
         self._ops: list = []
-        # the same led by the coefficients and whole (or None), for run; fill,
-        # which unpacks an entry per node and round, keeps the shorter tuples
-        self._nodes: list = []
         # zero-argument callables naming the enclosing quotients, powers and
         # functions, innermost first: a domain error names each of them
         self._context: tuple = ()
@@ -388,14 +385,8 @@ class Tape:
         and the earliest is raised once all nodes have run."""
         isfinite = math.isfinite
         limit, failure = self.rounds, None
-        for out, whole, append, step, where, lo, hi in self._nodes:
-            if whole is not None:
-                values = whole(limit)
-                out += values
-                if not all(map(isfinite, values)):
-                    k = next(k for k, value in enumerate(values) if not isfinite(value))
-                    failure, limit = non_finite_coefficient(values[k], k), k
-                continue
+        for append, step, where, lo, hi in self._ops:
+            out = append.__self__
             if lo:  # a product below its support
                 out += [0.0] * (lo if lo < limit else limit)
             try:
@@ -428,18 +419,15 @@ class Tape:
 
     def emit(
         self, step, out: list | None = None, support: tuple[int, int] | None = None,
-        sparse: bool = False, whole=None,
+        sparse: bool = False,
     ) -> list:
-        """Append a node computed by ``step``; with ``sparse`` the step runs
-        only inside ``support`` and the node holds 0.0 elsewhere.  ``whole(n)``,
-        if given, returns the node's first n coefficients at once, the values
-        ``step`` gives; ``run`` calls it in place of the steps."""
+        """Append a node computed by ``step``, one coefficient per call,
+        whichever driver runs the tape; with ``sparse`` the step runs only
+        inside ``support`` and the node holds 0.0 elsewhere."""
         out = [] if out is None else out
         support = support or (0, self.rounds - 1)
         lo, hi = support if sparse else (0, self.rounds)
-        op = (out.append, step, self._context, lo, hi)
-        self._ops.append(op)
-        self._nodes.append((out, whole) + op)
+        self._ops.append((out.append, step, self._context, lo, hi))
         self._supports[id(out)] = (support, out)
         return out
 
@@ -456,16 +444,12 @@ class Tape:
         step = partial(product_term, a, b, lo_a, hi_a, lo_b, hi_b)
         if hi_b == 0 and isinstance(b, tuple):  # b may be the fixed factor
             (a, hi_a), b = (b, hi_b), a  # c * x and x * c are the same double
-        whole = None
-        if hi_a == 0 and isinstance(a, tuple) and math.isfinite(a[0]):
-            # a is fixed data (c, 0, 0, ...): product_term is 0.0 + c * x[k]
-            # inside the support, and 0.0 outside it, as is 0.0 + c * 0.0
+        if hi_a == 0 and isinstance(a, tuple):
+            # a is fixed data (c, 0, 0, ...): inside the support
+            # product_term adds the one term c * x[k] to 0.0
             c, x = a[0], b
-
-            def whole(n):
-                return [0.0 + c * v for v in x[:n]]
-
-        return self.emit(step, None, (lo, hi) if lo <= hi else (self.rounds, -1), True, whole)
+            step = lambda k: 0.0 + c * x[k]
+        return self.emit(step, None, (lo, hi) if lo <= hi else (self.rounds, -1), True)
 
     def _recurrence(self, term, arg: Sequence[float], *extra) -> list:
         out: list[float] = []

@@ -1,7 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from operator import add, mul
 
 import mpmath
@@ -879,3 +879,51 @@ def test_node_by_node_runs_equal_round_by_round_runs(monkeypatch, text):
     assert "Error" not in "".join(node_by_node)
     monkeypatch.setattr(Tape, "run", round_by_round)
     assert leaf_outcomes(text) == node_by_node
+
+
+# A product by fixed data (c, 0, 0, ...) steps by its one term
+# 0.0 + c * x[k], which must be product_term's value bit for bit, with the
+# constant on either side and through either driver, up to the first
+# non-finite coefficient and in that failure.  x holds signed zeros inside
+# its support, where c * x[k] can be -0.0 and 0.0 + makes it 0.0,
+# subnormals that underflow and values that overflow.  Data (0.0, 0, ...)
+# has an empty support and keeps product_term.
+
+SCALES = (-1.5, 1e10, 5e-324, 0.0)
+SCALED = (3.0, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.797e308, -1.797e308, -2.5)
+
+
+def nonzero_span(seq) -> tuple[int, int]:
+    nonzero = [k for k, value in enumerate(seq) if value]
+    return (nonzero[0], nonzero[-1]) if nonzero else (len(seq), -1)
+
+
+@pytest.mark.parametrize("c", SCALES)
+@pytest.mark.parametrize("constant_first", [True, False])
+@pytest.mark.parametrize("drive", [Tape.run, round_by_round])
+def test_constant_products_equal_product_term(c, constant_first, drive):
+    rounds = len(SCALED)
+    constant = (c,) + (0.0,) * (rounds - 1)
+    for shift in range(rounds):
+        x = SCALED[shift:] + SCALED[:shift]
+        a, b = (constant, x) if constant_first else (x, constant)
+        (lo_a, hi_a), (lo_b, hi_b) = nonzero_span(a), nonzero_span(b)
+        expected, failure = [], None
+        for k in range(rounds):
+            inside = lo_a + lo_b <= k <= hi_a + hi_b
+            value = product_term(a, b, lo_a, hi_a, lo_b, hi_b, k) if inside else 0.0
+            if not math.isfinite(value):
+                failure = str(non_finite_coefficient(value, k))
+                break
+            expected.append(value)
+
+        tape = Tape(rounds)
+        out = tape.product(a, b)
+        step = tape._ops[-1][1]
+        assert (isinstance(step, partial) and step.func is product_term) == (c == 0.0)
+        try:
+            drive(tape)
+            raised = None
+        except SeriesError as exc:
+            raised = str(exc)
+        assert (repr(out), raised) == (repr(expected), failure), (c, constant_first, x)
