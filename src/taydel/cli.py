@@ -328,6 +328,8 @@ def cmd_compare(args) -> int:
         if len(bounds) != 2:
             raise UsageError(f"--interval needs two numbers a,b, got {args.interval!r}")
         a, b = bounds
+        if not a < b:
+            raise UsageError(f"comparison interval [{a:g}, {b:g}] is empty")
     else:
         a, b = 0.0, reduced.validity.upper
     upper = reduced.validity.upper

@@ -113,7 +113,7 @@ def reference_steps(step_size: float, horizon: float) -> int:
         raise OracleError(f"step size must be positive, got {step_size!r}")
     if step_size == math.inf:
         raise OracleError(f"step size must be finite, got {step_size!r}")
-    if not math.isfinite(horizon / step_size):
+    if not horizon / step_size <= 2.0**53:  # past it a float no longer counts steps
         raise OracleError(f"step size {step_size!r} cuts [0, {horizon:g}] into too many steps")
     return max(1, math.ceil(round(horizon / step_size, 9)))
 
@@ -311,6 +311,8 @@ def compare(
     """Maximum absolute difference per variable between the truncated
     polynomial solution and the dense reference over an equidistant grid."""
     a, b = interval
+    if not a < b:
+        raise OracleError(f"comparison interval [{a:g}, {b:g}] is empty")
     if not (0.0 <= a < b <= min(traj.horizon, solution.validity.upper) + 1e-12):
         raise OracleError(
             f"comparison interval [{a:g}, {b:g}] must lie inside "

@@ -596,6 +596,11 @@ class TestExitContract:
                 ["compare", "--samples", "100000000"],
                 "--samples must lie in [2, 10000], got 100000000",
             ),
+            # a ratio past 2**53 is no exact step count, so none is printed
+            (["compare", "--h", "1e-300"], "step size 1e-300 cuts [0, 1] into too many steps"),
+            # an empty interval is refused as empty, though it lies inside [0, upper]
+            (["compare", "--interval", "0.5,0.5"], "comparison interval [0.5, 0.5] is empty"),
+            (["compare", "--interval", "0.7,0.3"], "comparison interval [0.7, 0.3] is empty"),
         ],
     )
     def test_bad_flag_value_gets_one_line(self, run, tmp_path, argv, message):

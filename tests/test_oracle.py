@@ -217,6 +217,15 @@ class TestCompare:
         with pytest.raises(OracleError):
             compare(solution, trajectory, (0.4, 0.5), 1)
 
+    @pytest.mark.parametrize("interval", [(0.25, 0.25), (0.4, 0.3)])
+    def test_empty_interval_is_refused_as_empty(self, fixtures_dir, interval):
+        reduced = substitute_history(load_problem(fixtures_dir / "example2.fde"))
+        solution = solve_reduced(reduced)
+        trajectory = integrate_reference(reduced, 1e-2, 0.5)
+        message = r"^comparison interval \[{:g}, {:g}\] is empty$"
+        with pytest.raises(OracleError, match=message.format(*interval)):
+            compare(solution, trajectory, interval, 50)
+
 
 def per_sample_compare(solution, traj, interval, samples):
     """compare through the public point evaluators, one call each per sample."""
@@ -418,6 +427,14 @@ class TestPinnedOutput:
         with pytest.raises(OracleError) as excinfo:
             integrate_reference(plain_reduced(rhs), step, 1.0)
         assert (type(excinfo.value), str(excinfo.value)) == (OracleError, message)
+
+
+def test_step_counts_past_two_to_the_53_are_refused():
+    # a double counts every step up to 2**53; past it the count is not exact
+    assert oracle.reference_steps(1.0, 2.0**53) == 2**53
+    for step, horizon in ((1.0, 2.0**53 + 2), (1e-300, 1.0), (5e-324, 1e-300)):
+        with pytest.raises(OracleError, match=r"into too many steps$"):
+            oracle.reference_steps(step, horizon)
 
 
 def test_step_budget_covers_the_default_step_on_the_unit_interval():
