@@ -3,13 +3,13 @@ for a fixed set of problems, so that two versions of taydel can be checked
 for bit-identical output.
 
 The problems are the fixtures, seeds 1-30 of the benchmark's march,
-history and validate families, and a few histories that history
-substitution must refuse, alone and in sums, so that which failure is
-reported first is pinned too, and one march that overflows.  Each is solved at N = 20 and 40 (the
-coefficient tables, tails, pivot trail and truncation bounds), and at
-N = 10 integrated by the RK4 reference at h = 2e-3 and compared with the
-reference on 200 samples (the trajectory, its extrapolation count and the
-compare errors).  Numbers are hashed as ``float.hex`` and a failure as its
+history and validate families, a few histories that history substitution
+must refuse, alone and in sums, so that which failure is reported first
+is pinned too, and one march that overflows.  Each is solved at N = 20
+and 40 (the coefficient tables, tails, pivot trail and truncation
+bounds), and at N = 10 integrated by the RK4 reference at h = 2e-3 and
+compared with the reference on 200 samples (the trajectory, its
+extrapolation count and the compare errors).  Numbers are hashed as ``float.hex`` and a failure as its
 class name and text, so renaming a field or changing a ``repr`` moves no
 hash.
 

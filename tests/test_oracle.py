@@ -216,15 +216,9 @@ class TestCompare:
             compare(solution, trajectory, (0.0, 0.9), 50)
         with pytest.raises(OracleError):
             compare(solution, trajectory, (0.4, 0.5), 1)
-
-    @pytest.mark.parametrize("interval", [(0.25, 0.25), (0.4, 0.3)])
-    def test_empty_interval_is_refused_as_empty(self, fixtures_dir, interval):
-        reduced = substitute_history(load_problem(fixtures_dir / "example2.fde"))
-        solution = solve_reduced(reduced)
-        trajectory = integrate_reference(reduced, 1e-2, 0.5)
-        message = r"^comparison interval \[{:g}, {:g}\] is empty$"
-        with pytest.raises(OracleError, match=message.format(*interval)):
-            compare(solution, trajectory, interval, 50)
+        for a, b in ((0.25, 0.25), (0.4, 0.3)):  # inside, but empty
+            with pytest.raises(OracleError, match=rf"^comparison interval \[{a:g}, {b:g}\] is empty$"):
+                compare(solution, trajectory, (a, b), 50)
 
 
 def per_sample_compare(solution, traj, interval, samples):
