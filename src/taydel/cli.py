@@ -323,20 +323,22 @@ def cmd_compare(args) -> int:
     # restriction check happens before any solving so that unsupported
     # systems report the offending term rather than a marching error
     oracle.check_supported(reduced)
+    upper = reduced.validity.upper
     if args.interval:
         bounds = _floats(args.interval, "--interval")
         if len(bounds) != 2:
             raise UsageError(f"--interval needs two numbers a,b, got {args.interval!r}")
         a, b = bounds
+        # an end up to 1e-12 past upper is round-off in the flag and reads as
+        # upper; a start past upper is refused below as outside
+        if a <= upper < b <= upper + 1e-12:
+            b = upper
         if not a < b:
             raise UsageError(f"comparison interval [{a:g}, {b:g}] is empty")
     else:
-        a, b = 0.0, reduced.validity.upper
-    upper = reduced.validity.upper
-    # an end up to 1e-12 past upper is round-off in the flag and reads as upper
-    if not (0.0 <= a < min(b, upper) and b <= upper + 1e-12):
+        a, b = 0.0, upper
+    if not 0.0 <= a < b <= upper:
         raise UsageError(f"comparison interval [{a:g}, {b:g}] must lie inside [0, {upper:g}]")
-    b = min(b, upper)
     steps = oracle.reference_steps(args.step, b)
     if steps > oracle.MAX_REFERENCE_STEPS:
         raise UsageError(

@@ -8,10 +8,15 @@ already computed (they always point backwards since q < 1), so the
 integrator needs no knowledge of the recurrence solver it validates.
 Each RK4 step computes them, once per (ratio, component), and the history
 leaves, by one generated function, at t0 + h/2 for k2 and k3 and at
-t0 + h for k4 and the end-of-step slope.  The right-hand sides and the
+t0 + h for k4 and the end-of-step slope.  Each finished step leaves one
+Hermite record (t0, h, y0, d0, y1, d1): a lookup reads the record of the
+step that holds q*t, and one inside the step in progress extrapolates the
+last record.  The right-hand sides and the
 derivative shifts of the first-order form run as one function that
 ``expr.compile_numeric`` generates per system, one call per stage, which
 reads those values from a slot array.
+``compare`` runs ``Series.evaluate``'s Horner loop inline, per sample and
+variable.
 Top-order references under a proportional delay are outside this
 integrator's scope and are rejected up front.
 """
@@ -152,9 +157,10 @@ def integrate_reference(
     ]
     derivs: list[tuple[float, ...]] = []
     extrapolations = 0
-    # Hermite data (t0, h, y0, d0, y1, d1) of the step in progress, for
-    # lookups beyond the front; only the lookups at t = 0 run without
-    data = None
+    # Hermite data (t0, h, y0, d0, y1, d1) of each finished step, for the
+    # lookups behind the front; the step in progress extrapolates from the
+    # last one.  During the first step it holds that step's iterated data
+    records: list[tuple] = []
     # one slot per distinct proportional (ratio, component), grouped by
     # ratio, and one per history leaf node; uses[ratio] counts the
     # references that read its slots.  A leaf is keyed by identity: reduce
@@ -190,6 +196,7 @@ def integrate_reference(
         for row in [*(ex.StateRef(j, d + 1) for d in range(n - 1)), equation]
     ], leaf)
     leaf_values = _leaf_evaluator(leaves, len(slots))
+    ratios = [(ratio, members, uses[ratio]) for ratio, members in groups.items()]
 
     def lookups(t: float) -> tuple[list[float], int]:
         # dv at t, and how many references read an extrapolated value: q*t,
@@ -197,19 +204,17 @@ def integrate_reference(
         values = leaf_values(t)
         count = 0
         front = times[-1]
-        for ratio, members in groups.items():
+        for ratio, members, used in ratios:
             s = ratio * t
-            if s <= front:
-                i = bisect.bisect_right(times, s) - 1
-                if i >= len(times) - 1:
-                    for slot, component in members:
-                        values[slot] = states[-1][component]
-                    continue
-                t0, h = times[i], times[i + 1] - times[i]
-                y0, d0, y1, d1 = states[i], derivs[i], states[i + 1], derivs[i + 1]
+            if s < front:
+                t0, h, y0, d0, y1, d1 = records[bisect.bisect_right(times, s) - 1]
+            elif s > front:
+                count += used
+                t0, h, y0, d0, y1, d1 = records[-1]
             else:
-                count += uses[ratio]
-                t0, h, y0, d0, y1, d1 = data
+                for slot, component in members:
+                    values[slot] = states[-1][component]
+                continue
             a, b, c, d = _hermite_weights(t0, h, s)
             for slot, k in members:
                 values[slot] = a * y0[k] + b * d0[k] + c * y1[k] + d * d1[k]
@@ -246,13 +251,14 @@ def integrate_reference(
                 y1 = tuple(y + h * d for y, d in zip(y0, d0))  # Euler predictor
                 d1 = d0
                 for _ in range(3):
-                    data = (0.0, h, y0, d0, y1, d1)
+                    records[:] = [(0.0, h, y0, d0, y1, d1)]
                     y1, d1 = rk4_step(0.0, y0, h, d0)
                 derivs.append(d0)
             else:
-                data = (times[-2], times[-1] - times[-2], states[-2], derivs[-2], y0, derivs[-1])
                 y1, d1 = rk4_step(t0, y0, h, derivs[-1])
             times.append(t0 + h)
+            # the finished step's record; the first one replaces its iterated data
+            records[i:] = [(times[-2], times[-1] - times[-2], y0, derivs[-1], y1, d1)]
             states.append(y1)
             derivs.append(d1)
     except ex.EvaluationError as exc:
@@ -324,7 +330,7 @@ def compare(
     # t, 0), with the same arithmetic, walked without their per-call work
     times, states, derivs = traj.times, traj.states, traj.derivs
     last, end = len(times) - 2, traj.horizon + 1e-12
-    columns = [(j, j * traj.order, s.evaluate) for j, s in enumerate(solution.series)]
+    columns = [(j, j * traj.order, s.horner_terms) for j, s in enumerate(solution.series)]
     worst = [0.0] * traj.num_vars
     for i in range(samples):
         t = a + (b - a) * i / (samples - 1)
@@ -335,7 +341,10 @@ def compare(
             k = last
         p, q, r, s = _hermite_weights(times[k], times[k + 1] - times[k], t)
         y0, d0, y1, d1 = states[k], derivs[k], states[k + 1], derivs[k + 1]
-        for j, c, evaluate in columns:
+        for j, c, terms in columns:
             v = p * y0[c] + q * d0[c] + r * y1[c] + s * d1[c]
-            worst[j] = max(worst[j], abs(evaluate(t) - v))
+            acc = 0.0  # Series.evaluate's Horner loop
+            for coeff in terms:
+                acc = acc * t + coeff
+            worst[j] = max(worst[j], abs(acc - v))
     return tuple(worst)

@@ -332,6 +332,15 @@ class TestCompare:
         assert (code, out) == (2, "")
         assert err == "error: comparison interval [1, 1] must lie inside [0, 1]\n"
 
+    def test_interval_empty_once_its_end_reads_as_upper_is_empty(self, run, fixtures_dir):
+        # the end lies within round-off past upper = 1 and reads as 1, so
+        # the interval [1, 1] lies inside [0, 1] and is empty
+        code, out, err = run(
+            "compare", fixture(fixtures_dir, "example2.fde"),
+            "--interval", "1,1.0000000000001", "--h", "0.01",
+        )
+        assert (code, out, err) == (2, "", "error: comparison interval [1, 1] is empty\n")
+
     def test_coarse_reference_exceeds_the_bound(self, run, fixtures_dir):
         """At --h 0.5 the reference, not the Taylor polynomial, is off."""
         code, out, err = run(

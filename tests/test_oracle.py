@@ -299,6 +299,57 @@ def test_history_leaf_node_shared_by_two_references():
     )
 
 
+# u2' reads u1 at q*t alone, so every node slope of u2 is the value one
+# lookup gave while the integrator ran
+LOOKUP_SLOPE = """
+order = 1
+vars = u1, u2
+delay third = proportional(1/3)
+delay half = proportional(1/2)
+delay near = proportional(0.99)
+eq u1' = -u1 + u1@third/2
+eq u2' = u1@{delay}
+init u1 = [1]
+init u2 = [0]
+horizon = 1
+taylor_order = 8
+"""
+
+
+@pytest.mark.parametrize("delay", ["half", "near"])
+@pytest.mark.parametrize("step", [0.1, 0.03, 2e-3])
+def test_lookups_read_the_interpolant_sample_reads(delay, step):
+    # each lookup reads one finished step's record: behind the front it is
+    # the interpolant sample reads, on the front the node itself, and
+    # inside the step in progress the last record extrapolated by
+    # _hermite_weights; every node slope of u2 matches, bit for bit
+    reduced = substitute_history(parse_problem(LOOKUP_SLOPE.format(delay=delay)))
+    q = reduced.delay_map()[delay].law.ratio
+    trajectory = integrate_reference(reduced, step, 1.0)
+    times, states, derivs = trajectory.times, trajectory.states, trajectory.derivs
+    branches = []
+    for j in range(2, len(times)):
+        s, front = q * times[j], times[j - 1]
+        if s < front:
+            branches.append("behind")
+            expected = sample(trajectory, s)[0]
+        elif s == front:
+            branches.append("front")
+            expected = states[j - 1][0]
+        else:
+            branches.append("extrapolated")
+            a, b, c, d = oracle._hermite_weights(times[j - 2], front - times[j - 2], s)
+            y0, d0, y1, d1 = states[j - 2], derivs[j - 2], states[j - 1], derivs[j - 1]
+            expected = a * y0[0] + b * d0[0] + c * y1[0] + d * d1[0]
+        assert (j, repr(derivs[j][1])) == (j, repr(expected))
+    if delay == "half":
+        # u1 at times[j] / 2: on the front node times[1] for j = 2, behind after
+        assert branches == ["front"] + ["behind"] * (len(times) - 3)
+    else:
+        assert branches[0] == "extrapolated"
+        assert step != 2e-3 or set(branches) == {"extrapolated", "behind", "front"}
+
+
 # sha256 sums of the 17-digit grid, states, node slopes and extrapolation
 # count the reference integrator produced while it walked every right-hand
 # side node by node at each evaluation; lowering the equations into one

@@ -10,9 +10,10 @@ arithmetic of the march changes a digest.
 Every coefficient sum adds its terms in order with plain float additions
 (``series.plain_sum``; ``sum()`` of floats is compensated from CPython
 3.12), so the digests hold on CPython 3.10 through 3.13.  The tables are
-also compared in full with those printed by every other ``python3.10`` to
-``python3.13`` on PATH that starts, and each such interpreter must print
-the same ``scripts/differential.py`` hash.
+also compared in full with those printed by every other CPython 3.10 to
+3.13 that starts, ``python3.N`` on PATH or else a pyenv build under
+``$PYENV_ROOT/versions`` (``~/.pyenv`` by default), and each such
+interpreter must print the same ``scripts/differential.py`` hash.
 """
 
 import hashlib
@@ -73,17 +74,28 @@ print(json.dumps({p: outcome_text(solve(load_problem(p), trunc_order=60)) for p 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def interpreter(minor: int, env: dict) -> str | None:
+    """The first of ``python3.<minor>`` on PATH and the pyenv builds of
+    3.<minor> that starts.  A version manager's shim on PATH fails to start
+    for a version it does not select, while the build itself runs."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    builds = sorted(root.glob(f"versions/3.{minor}.*/bin/python3.{minor}"))
+    for exe in [shutil.which(f"python3.{minor}"), *map(str, builds)]:
+        if exe is not None:
+            probe = subprocess.run([exe, "-c", "pass"], capture_output=True, env=env, timeout=60)
+            if probe.returncode == 0:
+                return exe
+    return None
+
+
 def test_other_interpreters_print_the_same_tables(fixtures_dir):
     paths = [str(fixtures_dir / f"{name}.fde") for name in sorted(FIXTURE_DIGESTS)]
     expected = {path: outcome_text(solve(load_problem(path), trunc_order=60)) for path in paths}
     env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
     ran = []
     for minor in range(10, 14):
-        exe = shutil.which(f"python3.{minor}")
-        if minor == sys.version_info.minor or exe is None:
-            continue
-        probe = subprocess.run([exe, "-c", "pass"], capture_output=True, env=env, timeout=60)
-        if probe.returncode:  # e.g. a version manager's shim for a version it does not select
+        exe = None if minor == sys.version_info.minor else interpreter(minor, env)
+        if exe is None:
             continue
         child = subprocess.run(
             [exe, "-c", CHILD, *paths], capture_output=True, text=True, env=env, timeout=300
@@ -100,7 +112,7 @@ def test_other_interpreters_print_the_same_tables(fixtures_dir):
         assert (exe, child.stdout) == (exe, DIFFERENTIAL_DIGEST + "\n")
         ran.append(exe)
     if not ran:
-        pytest.skip("no other CPython 3.10-3.13 on PATH starts")
+        pytest.skip("no other CPython 3.10-3.13 on PATH or under pyenv starts")
 
 
 def test_random_systems_match_recorded_digest():
